@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,9 +26,10 @@ import numpy as np
 from .constraints import algebraic_constraint, gram_covariance_check, observable_constraint
 from .dynamics import constrained_field, integrate
 from .equivalence import equivalence_report
-from .errors import ChartDomainError, ConfigError, DegenerateGeometryError, SingularGramError
+from .errors import ChartDomainError, ConfigError, SingularGramError
 from .geometry import ChartPoint, geometry_at, nijenhuis_residual
 from .systems import (
+    AngularPoint,
     SystemDefinition,
     from_angular,
     product_surface_sample,
@@ -90,7 +91,6 @@ class RunConfig:
     projection: bool = True
     output_path: Optional[str] = None
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def _build_constraint(spec, n: int):
@@ -109,6 +109,15 @@ def _build_constraint(spec, n: int):
             lambda pt, g=grad: g,
         )
     raise ConfigError("unknown constraint kind %r" % kind)
+
+
+def _entry(raw: dict, key: str, default, types, what: str):
+    """raw[key] (or the default) if it is one of types; bools never count
+    as numbers."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError("%s must be %s, got %r" % (key, what, value))
+    return value
 
 
 def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunConfig:
@@ -150,12 +159,12 @@ def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunCo
             raise ConfigError("bad initial_point: %s" % exc)
     cfg.grid = raw.get("grid")
     cfg.points = raw.get("points")
-    cfg.num_points = int(raw.get("num_points", 50))
-    cfg.t_end = float(raw.get("t_end", 1.0))
-    cfg.dt = float(raw.get("dt", 1e-3))
+    cfg.num_points = _entry(raw, "num_points", 50, int, "an integer")
+    cfg.t_end = float(_entry(raw, "t_end", 1.0, (int, float), "a number"))
+    cfg.dt = float(_entry(raw, "dt", 1e-3, (int, float), "a number"))
     cfg.projection = bool(raw.get("projection", True))
-    cfg.output_path = raw.get("output_path")
-    cfg.seed = int(raw.get("seed", 0))
+    cfg.output_path = _entry(raw, "output_path", None, (str, type(None)), "a path string")
+    cfg.seed = _entry(raw, "seed", 0, int, "an integer")
 
     if overrides.t_end is not None:
         cfg.t_end = overrides.t_end
@@ -168,16 +177,23 @@ def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunCo
     if overrides.no_projection:
         cfg.projection = False
 
-    if cfg.dt <= 0.0:
-        raise ConfigError("dt must be positive")
-    if cfg.t_end < 0.0:
-        raise ConfigError("t_end must be nonnegative")
+    if not (math.isfinite(cfg.dt) and cfg.dt > 0.0):
+        raise ConfigError("dt must be positive and finite")
+    if not (math.isfinite(cfg.t_end) and cfg.t_end >= 0.0):
+        raise ConfigError("t_end must be nonnegative and finite")
+    if cfg.num_points < 1:
+        raise ConfigError("num_points must be positive")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     return cfg
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write output: %s" % exc)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -252,7 +268,7 @@ def cmd_field(cfg: RunConfig) -> int:
         for theta in thetas:
             for phi in phis:
                 try:
-                    point = from_angular(_angular(theta, phi))
+                    point = from_angular(AngularPoint(theta, phi))
                     vel = constrained_field(point, system)
                     tdot, pdot = pushforward_to_angular(point, vel)
                     lines.append(",".join([_fmt(theta), _fmt(phi), _fmt(tdot), _fmt(pdot), "ok"]))
@@ -275,12 +291,6 @@ def cmd_field(cfg: RunConfig) -> int:
     _write_text(cfg.output_path, "\n".join(lines) + "\n")
     print("wrote %d field rows -> %s" % (len(lines) - 1, cfg.output_path))
     return 0
-
-
-def _angular(theta, phi):
-    from .systems import AngularPoint
-
-    return AngularPoint(theta, phi)
 
 
 def _check_points(cfg: RunConfig) -> list:

@@ -16,12 +16,12 @@ observables in the current state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EigenstateDegenerateError, SingularGramError
-from .geometry import ChartPoint, PointGeometry, StateVector, embed, embed_jacobian, geometry_at
+from .geometry import ChartPoint, StateVector, apply_g_inv, embed, embed_jacobian
 
 FD_STEP = 1e-6
 # Gram matrices with a worse condition estimate than this, or with a
@@ -129,32 +129,56 @@ class GramMatrix:
         return self.m.shape[0]
 
 
+@dataclass(frozen=True)
+class ConstraintFrame:
+    """The constraint data of one chart point, built once and shared by the
+    constrained field, the multipliers, the Newton projection and the
+    equivalence diagnostics.
+
+    rows:    gradients grad_a Phi^i as rows, shape (N, 2n-2).
+    normals: the metric normals g^{ab} grad_b Phi^i as rows.
+    gram:    the Gram matrix of the rows, see gram_matrix.
+    """
+
+    names: Tuple[str, ...]
+    rows: np.ndarray
+    normals: np.ndarray
+    gram: GramMatrix
+
+    def multipliers(self, v: np.ndarray) -> np.ndarray:
+        """lambda_i = M_ij grad_a Phi^j v^a: the components of the vector v
+        along the metric normals."""
+        lam = self.gram.m_inv @ (self.rows @ v)
+        if not np.isfinite(lam).all():
+            raise SingularGramError(self.names, self.gram.condition_number)
+        return lam
+
+    @property
+    def mu(self) -> np.ndarray:
+        """mu_bc = M_ij grad_b Phi^i grad_c Phi^j, exactly symmetrised."""
+        mu = self.rows.T @ self.gram.m_inv @ self.rows
+        return 0.5 * (mu + mu.T)
+
+
+def resolve_constraints(system, constraints) -> tuple:
+    """The given constraints, or the system's own when none are given."""
+    return tuple(system.constraints if constraints is None else constraints)
+
+
 def gradient_rows(constraints: Sequence[Constraint], point: ChartPoint) -> np.ndarray:
     """Stack constraint gradients as rows of an (N, 2n-2) array."""
     return np.array([c.gradient(point) for c in constraints], dtype=float)
 
 
-def gram_matrix(
-    constraints: Sequence[Constraint],
-    point: ChartPoint,
-    geom: Optional[PointGeometry] = None,
-    *,
-    strict: bool = True,
-) -> GramMatrix:
-    """Build M^{ij} = g^{ab} grad_a Phi^i grad_b Phi^j and invert it.
-
-    The result is exactly symmetric.  A matrix whose condition estimate
-    exceeds GRAM_CONDITION_LIMIT (redundant constraints) or whose smallest
-    singular value falls under the floor (a vanishing gradient) is
-    singular: with strict=True this raises SingularGramError naming the
-    constraints, otherwise the GramMatrix is returned with m_inv = None.
-    """
+def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint, *, strict=True) -> ConstraintFrame:
+    """Gradients, metric normals and Gram matrix of a constraint set at one
+    point; the singularity rule and strict are those of gram_matrix."""
     if len(constraints) == 0:
         raise ValueError("at least one constraint is required")
-    if geom is None:
-        geom = geometry_at(point)
+    names = tuple(c.name for c in constraints)
     rows = gradient_rows(constraints, point)
-    m = rows @ geom.g_inv @ rows.T
+    normals = apply_g_inv(point, rows.T).T
+    m = rows @ normals.T
     m = 0.5 * (m + m.T)
     sv = np.linalg.svd(m, compute_uv=False)
     smax = float(sv[0])
@@ -163,10 +187,22 @@ def gram_matrix(
     singular = smin < GRAM_SINGULAR_FLOOR * max(1.0, smax) or cond > GRAM_CONDITION_LIMIT
     if singular:
         if strict:
-            raise SingularGramError([c.name for c in constraints], cond)
-        return GramMatrix(m, None, float(cond))
+            raise SingularGramError(names, cond)
+        return ConstraintFrame(names, rows, normals, GramMatrix(m, None, float(cond)))
     m_inv = np.linalg.inv(m)
-    return GramMatrix(m, 0.5 * (m_inv + m_inv.T), float(cond))
+    return ConstraintFrame(names, rows, normals, GramMatrix(m, 0.5 * (m_inv + m_inv.T), float(cond)))
+
+
+def gram_matrix(constraints: Sequence[Constraint], point: ChartPoint, *, strict: bool = True) -> GramMatrix:
+    """Build M^{ij} = g^{ab} grad_a Phi^i grad_b Phi^j and invert it.
+
+    The result is exactly symmetric.  A matrix whose condition estimate
+    exceeds GRAM_CONDITION_LIMIT (redundant constraints) or whose smallest
+    singular value falls under the floor (a vanishing gradient) is
+    singular: with strict=True this raises SingularGramError naming the
+    constraints, otherwise the GramMatrix is returned with m_inv = None.
+    """
+    return constraint_frame(constraints, point, strict=strict).gram
 
 
 def covariance_matrix(observables: Sequence[np.ndarray], state: StateVector) -> np.ndarray:
@@ -196,9 +232,8 @@ def gram_covariance_check(constraints: Sequence[Constraint], point: ChartPoint) 
     for c in constraints:
         if c.kind != "observable":
             raise ValueError("constraint %r is not observable-kind" % c.name)
-    geom = geometry_at(point)
     rows = gradient_rows(constraints, point)
-    metric_side = rows @ geom.g_inv @ rows.T
+    metric_side = rows @ apply_g_inv(point, rows.T)
     hilbert_side = covariance_matrix([c.matrix for c in constraints], embed(point))
     return float(np.abs(metric_side - hilbert_side).max())
 

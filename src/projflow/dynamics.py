@@ -12,6 +12,9 @@ components of the field:
     lambda_i = M_ij omega^{ab} grad_a Phi^j grad_b H,
 
 which makes the flow exactly tangent to every constraint level set.
+Since omega^{ab} is the constant canonical matrix, the free field is
+(grad_p H, -grad_q H), and g^{ab} only ever acts on the constraint
+gradients, through one ConstraintFrame per point.
 Trajectories are produced by a fixed-step classical Runge-Kutta (RK4)
 integrator with an optional post-step Newton projection that pulls the
 constraint values back to their initial ones.
@@ -19,14 +22,15 @@ constraint values back to their initial ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, gradient_rows, gram_matrix
+from .constraints import Constraint, constraint_frame, resolve_constraints
 from .errors import ChartDomainError, SingularGramError
-from .geometry import BOUNDARY_MARGIN, ChartPoint, StateVector, chart_from_state, embed, geometry_at
+from .geometry import BOUNDARY_MARGIN, ChartPoint, StateVector, chart_from_state, embed, require_interior
 
 PROJECTION_TOL = 1e-10
 
@@ -89,7 +93,8 @@ class Trajectory:
 
     qs are stored unwrapped to keep drift monitoring free of 2*pi jumps;
     wrap on output when a principal value is wanted.  exit_flag is
-    "completed", or "boundary" / "singular" for a truncated run.
+    "completed", or "boundary" / "singular" / "projection" for a truncated
+    run.
     """
 
     times: np.ndarray
@@ -109,56 +114,40 @@ class Trajectory:
         return self.point(len(self) - 1)
 
 
-def _resolve_constraints(system, constraints) -> tuple:
-    return tuple(system.constraints if constraints is None else constraints)
+def schrodinger_field(point: ChartPoint, system) -> np.ndarray:
+    """Unconstrained flow omega^{ab} grad_b H = (grad_p H, -grad_q H); in
+    these coordinates the conventional Hamilton equations qdot = Omega,
+    pdot = 0.  Guarded like geometry_at."""
+    require_interior(point)
+    grad = system.hamiltonian.gradient(point)
+    return np.concatenate([grad[point.m:], -grad[:point.m]])
 
 
-def schrodinger_field(point: ChartPoint, system, geom=None) -> np.ndarray:
-    """Unconstrained flow omega^{ab} grad_b H; in these coordinates the
-    conventional Hamilton equations qdot = Omega, pdot = 0."""
-    if geom is None:
-        geom = geometry_at(point)
-    return geom.omega_inv @ system.hamiltonian.gradient(point)
-
-
-def multipliers(point: ChartPoint, system, constraints=None, geom=None) -> np.ndarray:
+def multipliers(point: ChartPoint, system, constraints=None) -> np.ndarray:
     """Lagrange multipliers lambda_i = M_ij omega^{ab} grad_a Phi^j grad_b H.
 
     Solving with these multipliers makes the projected field tangent to
     every constraint surface.  Raises SingularGramError when M is not
     invertible at the point.
     """
-    cons = _resolve_constraints(system, constraints)
+    cons = resolve_constraints(system, constraints)
     if not cons:
         return np.zeros(0)
-    if geom is None:
-        geom = geometry_at(point)
-    rows = gradient_rows(cons, point)
-    gram = gram_matrix(cons, point, geom)
-    free = geom.omega_inv @ system.hamiltonian.gradient(point)
-    lam = gram.m_inv @ (rows @ free)
-    if not np.isfinite(lam).all():
-        raise SingularGramError([c.name for c in cons], gram.condition_number)
-    return lam
+    return constraint_frame(cons, point).multipliers(schrodinger_field(point, system))
 
 
-def constrained_field(point: ChartPoint, system, constraints=None, geom=None) -> np.ndarray:
+def constrained_field(point: ChartPoint, system, constraints=None) -> np.ndarray:
     """Metric-projected flow: the free field minus its g-normal components
     relative to the constraint surface.
 
-    With no constraints this is exactly the free Schrödinger field (the
-    same code path with a vanishing correction).
+    With no constraints this is exactly the free Schrödinger field.
     """
-    cons = _resolve_constraints(system, constraints)
-    if geom is None:
-        geom = geometry_at(point)
-    free = geom.omega_inv @ system.hamiltonian.gradient(point)
+    free = schrodinger_field(point, system)
+    cons = resolve_constraints(system, constraints)
     if not cons:
         return free
-    rows = gradient_rows(cons, point)
-    gram = gram_matrix(cons, point, geom)
-    lam = gram.m_inv @ (rows @ free)
-    return free - geom.g_inv @ (rows.T @ lam)
+    frame = constraint_frame(cons, point)
+    return free - frame.normals.T @ frame.multipliers(free)
 
 
 def _interior(x: np.ndarray) -> bool:
@@ -190,13 +179,15 @@ def integrate(
 
     If a stage point leaves the guarded chart interior the trajectory is
     truncated with exit_flag "boundary"; a singular constraint Gram matrix
-    en route truncates with "singular".
+    en route truncates with "singular"; a step whose constraint residual is
+    still at or above projection_tol after newton_max corrections truncates
+    with "projection".  Truncation drops the offending step.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
-    cons = _resolve_constraints(system, constraints)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive and finite")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError("t_end must be nonnegative and finite")
+    cons = resolve_constraints(system, constraints)
     if projection is None:
         projection = bool(cons)
     ham = system.hamiltonian
@@ -209,17 +200,18 @@ def integrate(
         raise ChartDomainError("start point is not inside the guarded chart interior")
     targets = np.array([c.value(x0) for c in cons])
 
-    def project(x: np.ndarray) -> np.ndarray:
-        for _ in range(newton_max):
+    def project(x: np.ndarray):
+        """Newton-correct x onto the start level set; None if newton_max
+        corrections leave the residual at or above projection_tol."""
+        for i in range(newton_max + 1):
             pt = ChartPoint.from_coords(x)
-            values = np.array([c.value(pt) for c in cons]) - targets
-            if np.abs(values).max() < projection_tol:
-                break
-            geom = geometry_at(pt)
-            rows = gradient_rows(cons, pt)
-            gram = gram_matrix(cons, pt, geom)
-            x = x - geom.g_inv @ (rows.T @ (gram.m_inv @ values))
-        return x
+            residual = np.array([c.value(pt) for c in cons]) - targets
+            if np.abs(residual).max() < projection_tol:
+                return x
+            if i == newton_max:
+                return None
+            frame = constraint_frame(cons, pt)
+            x = x - frame.normals.T @ (frame.gram.m_inv @ residual)
 
     times = [0.0]
     states = [x.copy()]
@@ -240,6 +232,9 @@ def integrate(
                 break
             if projection and cons:
                 x_new = project(x_new)
+                if x_new is None:
+                    flag = "projection"
+                    break
                 if not _interior(x_new):
                     flag = "boundary"
                     break

@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import Constraint, gradient_rows, gram_matrix
-from .geometry import ChartPoint, geometry_at, type_decompose
+from .constraints import Constraint, ConstraintFrame, constraint_frame, gradient_rows, resolve_constraints
+from .geometry import ChartPoint, geometry_at
 
 EQUIVALENCE_TOL = 1e-8
 # Block vanishing is judged relative to the overall size of tau so the
@@ -62,43 +62,45 @@ class EquivalenceReport:
         }
 
 
-def _resolve(system, constraints) -> tuple:
-    return tuple(system.constraints if constraints is None else constraints)
+def _frame(point: ChartPoint, system, constraints, frame) -> Optional[ConstraintFrame]:
+    """The given frame, or one built for the resolved constraint set; None
+    for an empty set.  Every diagnostic below takes the point's frame and
+    geometry when the caller has them, as equivalence_report does; a given
+    frame takes the place of the constraints argument."""
+    if frame is None:
+        cons = resolve_constraints(system, constraints)
+        if cons:
+            frame = constraint_frame(cons, point)
+    return frame
 
 
-def mu_tensor(point: ChartPoint, system, constraints=None, geom=None) -> np.ndarray:
+def mu_tensor(point: ChartPoint, system, constraints=None, frame=None) -> np.ndarray:
     """mu_bc = M_ij grad_b Phi^i grad_c Phi^j, exactly symmetrised.
 
     Invariant under invertible linear recombination of the constraint set
     since M_ij transforms contragrediently.
     """
-    cons = _resolve(system, constraints)
-    if not cons:
+    frame = _frame(point, system, constraints, frame)
+    if frame is None:
         raise ValueError("at least one constraint is required")
-    if geom is None:
-        geom = geometry_at(point)
-    rows = gradient_rows(cons, point)
-    gram = gram_matrix(cons, point, geom)
-    mu = rows.T @ gram.m_inv @ rows
-    return 0.5 * (mu + mu.T)
+    return frame.mu
 
 
-def modified_symplectic(point: ChartPoint, system, constraints=None, geom=None) -> np.ndarray:
+def modified_symplectic(point: ChartPoint, system, constraints=None, frame=None, geom=None) -> np.ndarray:
     """wtilde^{ab} = omega^{ab} - g^{ad} omega^{cb} mu_dc.
 
     Contracting with grad H reproduces the constrained field; with no
     constraints this is exactly omega^{ab}.
     """
-    cons = _resolve(system, constraints)
     if geom is None:
         geom = geometry_at(point)
-    if not cons:
+    frame = _frame(point, system, constraints, frame)
+    if frame is None:
         return geom.omega_inv.copy()
-    mu = mu_tensor(point, system, cons, geom)
-    return geom.omega_inv - geom.g_inv @ mu @ geom.omega_inv
+    return geom.omega_inv - geom.g_inv @ frame.mu @ geom.omega_inv
 
 
-def j_invariance_residual(point: ChartPoint, system, constraints=None, geom=None) -> float:
+def j_invariance_residual(point: ChartPoint, system, constraints=None, frame=None, geom=None) -> float:
     """Max-norm of J^c_a J^d_b mu_cd - mu_ab.
 
     Zero exactly when the metric-projected flow is a Hamiltonian flow for a
@@ -106,7 +108,7 @@ def j_invariance_residual(point: ChartPoint, system, constraints=None, geom=None
     """
     if geom is None:
         geom = geometry_at(point)
-    mu = mu_tensor(point, system, constraints, geom)
+    mu = mu_tensor(point, system, constraints, frame)
     return float(np.abs(geom.j.T @ mu @ geom.j - mu).max())
 
 
@@ -122,7 +124,7 @@ def single_constraint_orthogonality(point: ChartPoint, system, constraint: Const
     return float(abs((geom.j.T @ grad) @ geom.g_inv @ grad))
 
 
-def tau_analysis(point: ChartPoint, system, constraints=None):
+def tau_analysis(point: ChartPoint, system, constraints=None, frame=None, geom=None):
     """Two-constraint tensor tau_ab = grad_a A grad_b B - grad_a B grad_b A
     decomposed into complex type blocks.
 
@@ -134,13 +136,16 @@ def tau_analysis(point: ChartPoint, system, constraints=None):
     with sign in {"plus", "minus", "neither"} judged at relative tolerance
     TAU_BLOCK_RTOL.
     """
-    cons = _resolve(system, constraints)
-    if len(cons) != 2:
+    if frame is None:
+        rows = gradient_rows(resolve_constraints(system, constraints), point)
+    else:
+        rows = frame.rows
+    if len(rows) != 2:
         raise ValueError("tau analysis needs exactly two constraints")
-    grad_a = cons[0].gradient(point)
-    grad_b = cons[1].gradient(point)
+    grad_a, grad_b = rows
     tau = np.outer(grad_a, grad_b) - np.outer(grad_b, grad_a)
-    geom = geometry_at(point)
+    if geom is None:
+        geom = geometry_at(point)
     eye = np.eye(geom.dim)
     proj_pos = 0.5 * (eye - 1j * geom.j.T)
     proj_neg = 0.5 * (eye + 1j * geom.j.T)
@@ -163,7 +168,7 @@ def tau_analysis(point: ChartPoint, system, constraints=None):
     return tau, sign, norms
 
 
-def annihilation_check(point: ChartPoint, system, constraints=None):
+def annihilation_check(point: ChartPoint, system, constraints=None, frame=None, geom=None):
     """Residuals of wtilde acting on the constraint normals.
 
     Returns (right, left): right = max_k |wtilde^{ad} grad_a Phi^k| is an
@@ -172,45 +177,26 @@ def annihilation_check(point: ChartPoint, system, constraints=None):
     J-invariance condition holds.  Both are zero for an empty constraint
     set.
     """
-    cons = _resolve(system, constraints)
-    if not cons:
+    frame = _frame(point, system, constraints, frame)
+    if frame is None:
         return 0.0, 0.0
-    geom = geometry_at(point)
-    wtilde = modified_symplectic(point, system, cons, geom)
-    rows = gradient_rows(cons, point)
-    right = float(np.abs(wtilde.T @ rows.T).max())
-    left = float(np.abs(wtilde @ rows.T).max())
+    wtilde = modified_symplectic(point, system, constraints, frame, geom)
+    right = float(np.abs(wtilde.T @ frame.rows.T).max())
+    left = float(np.abs(wtilde @ frame.rows.T).max())
     return right, left
 
 
-def decompose_tau_blocks(grad_a: np.ndarray, grad_b: np.ndarray, geom) -> dict:
-    """Brute-force assembly of the tau type blocks from decomposed covectors.
-
-    Splits each gradient with type_decompose and wedges the parts directly;
-    serves as an independent cross-check of the projector sandwich used in
-    tau_analysis.
-    """
-    a_pos, a_neg = type_decompose(grad_a, geom)
-    b_pos, b_neg = type_decompose(grad_b, geom)
-
-    def wedge(u, v):
-        return np.outer(u, v)
-
-    return {
-        "pos_pos": wedge(a_pos, b_pos) - wedge(b_pos, a_pos),
-        "pos_neg": wedge(a_pos, b_neg) - wedge(b_pos, a_neg),
-        "neg_pos": wedge(a_neg, b_pos) - wedge(b_neg, a_pos),
-        "neg_neg": wedge(a_neg, b_neg) - wedge(b_neg, a_neg),
-    }
-
-
 def equivalence_report(point: ChartPoint, system, constraints=None, tol=EQUIVALENCE_TOL) -> EquivalenceReport:
-    """Evaluate every diagnostic at one point and render the verdict."""
-    cons = _resolve(system, constraints)
+    """Evaluate every diagnostic at one point and render the verdict, from
+    one constraint frame and one geometry evaluation."""
     geom = geometry_at(point)
-    j_res = j_invariance_residual(point, system, cons, geom) if cons else 0.0
-    right, left = annihilation_check(point, system, cons)
-    tau_sign = tau_analysis(point, system, cons)[1] if len(cons) == 2 else None
+    frame = _frame(point, system, constraints, None)
+    if frame is None:
+        j_res, right, left, tau_sign = 0.0, 0.0, 0.0, None
+    else:
+        j_res = j_invariance_residual(point, system, constraints, frame, geom)
+        right, left = annihilation_check(point, system, constraints, frame, geom)
+        tau_sign = tau_analysis(point, system, constraints, frame, geom)[1] if len(frame.names) == 2 else None
     verdict = "equivalent" if j_res < tol else "not_equivalent"
     return EquivalenceReport(
         j_invariance_residual=j_res,

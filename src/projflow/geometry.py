@@ -21,6 +21,16 @@ the complex structure is J = g^{-1} Omega, normalised so that
 
     J.J = -I,     J^T g J = g,     Omega = g J,     J^T Omega J = Omega.
 
+In this chart every tensor has a closed form.  With P = diag(p), 1 the
+all-ones vector and p_n = 1 - sum(p) the residual weight,
+
+    g      = diag(4 (P - p p^T),        P^{-1} + 1 1^T / p_n),
+    g^{-1} = diag((P^{-1} + 1 1^T / p_n) / 4,   P - p p^T),
+    J      = [[0, 2 g^{-1}_qq], [-2 g^{-1}_pp, 0]],
+
+so each block is a diagonal plus a rank-one term and g^{-1} acts on a
+covector in O(n) (apply_g_inv); nothing is inverted or pulled back.
+
 All functions here are pure; evaluating them concurrently over batches of
 points is safe.
 """
@@ -34,7 +44,8 @@ import numpy as np
 from .errors import ChartDomainError, DegenerateGeometryError
 
 # Points closer than this to the chart boundary are rejected by
-# geometry_at: g and g^{-1} carry 1/p_nu and 1/(1 - sum p) entries.
+# require_interior, and so by every geometry and field evaluation: g and
+# g^{-1} carry 1/p_nu and 1/(1 - sum p) entries.
 BOUNDARY_MARGIN = 1e-9
 
 
@@ -121,7 +132,6 @@ class PointGeometry:
                         normalised so omega^{ac} omega_{bc} = delta^a_b.
     big_omega:          fundamental two-form Omega_ab = 2 omega_ab.
     j:                  complex structure J^a_b (rows carry the upper index).
-    g_condition:        1-norm condition estimate of g from the direct solve.
     """
 
     g: np.ndarray
@@ -130,7 +140,6 @@ class PointGeometry:
     omega_inv: np.ndarray
     big_omega: np.ndarray
     j: np.ndarray
-    g_condition: float
 
     @property
     def big_omega_inv(self) -> np.ndarray:
@@ -199,66 +208,68 @@ def embed_jacobian(point: ChartPoint) -> np.ndarray:
     return dpsi
 
 
-def embed_jacobian_fd(point: ChartPoint, step: float = 1e-6) -> np.ndarray:
-    """Centred finite-difference cross-check for embed_jacobian.
+def require_interior(point: ChartPoint) -> float:
+    """Return the residual weight p_n = 1 - sum(p) of a point inside the
+    guarded chart.
 
-    Agrees with the analytic derivatives to about the square of the step.
-    The stencil must stay inside the open chart.
+    Raises DegenerateGeometryError within BOUNDARY_MARGIN of the chart
+    boundary, where the metric (and its inverse) blow up.
     """
-    x0 = point.coords()
+    p_last = 1.0 - float(point.p.sum())
+    margin = min(float(point.p.min()), p_last)
+    if margin < BOUNDARY_MARGIN:
+        raise DegenerateGeometryError(
+            "chart-boundary guard: margin %.3e below %.0e" % (margin, BOUNDARY_MARGIN)
+        )
+    return p_last
+
+
+def apply_g_inv(point: ChartPoint, v) -> np.ndarray:
+    """Raise the index of a covector, g^{ab} v_b, in O(n) from the closed
+    form of g^{-1}.  A matrix argument is treated column by column.
+
+    Guarded like geometry_at.
+    """
+    p_last = require_interior(point)
+    v = np.asarray(v, dtype=float)
     m = point.m
-    dpsi = np.empty((2 * m, m + 1), dtype=complex)
-    for a in range(2 * m):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[a] += step
-        xm[a] -= step
-        fp = embed(ChartPoint.from_coords(xp)).amplitudes
-        fm = embed(ChartPoint.from_coords(xm)).amplitudes
-        dpsi[a] = (fp - fm) / (2.0 * step)
-    return dpsi
-
-
-def pullback_tensors(psi: np.ndarray, dpsi: np.ndarray):
-    """Metric and fundamental two-form pulled back through an embedding.
-
-    Works for any local embedding given the vector psi and the row-wise
-    derivatives d_a psi.  Returns (g, Omega) with g_ab = Re K_ab and
-    Omega_ab = Im K_ab for the Hermitian form K defined in the module
-    docstring; the outputs are exactly symmetrised / antisymmetrised.
-    """
-    nrm = float(np.real(np.vdot(psi, psi)))
-    dconj = dpsi.conj()
-    overlap = dconj @ dpsi.T
-    v = dconj @ psi
-    k = 4.0 * (overlap / nrm - np.outer(v, v.conj()) / nrm**2)
-    g = k.real
-    om = k.imag
-    return 0.5 * (g + g.T), 0.5 * (om - om.T)
+    p = point.p.reshape((m,) + (1,) * (v.ndim - 1))
+    vq, vp = v[:m], v[m:]
+    out = np.empty_like(v)
+    out[:m] = 0.25 * (vq / p + vq.sum(axis=0) / p_last)
+    out[m:] = p * (vp - point.p @ vp)
+    return out
 
 
 def geometry_at(point: ChartPoint) -> PointGeometry:
-    """Evaluate every point tensor of the chart geometry.
+    """Assemble every point tensor of the chart geometry from its closed
+    form, entry by entry.
 
     Raises DegenerateGeometryError within BOUNDARY_MARGIN of the chart
-    boundary, where the metric (and its inverse) blow up.  Inversion is a
-    dense direct solve; the 1-norm condition estimate of g is reported on
-    the result.
+    boundary (see require_interior).
     """
-    if point.margin < BOUNDARY_MARGIN:
-        raise DegenerateGeometryError(
-            "chart-boundary guard: margin %.3e below %.0e" % (point.margin, BOUNDARY_MARGIN)
-        )
-    psi = embed(point)
-    dpsi = embed_jacobian(point)
-    g, big_omega = pullback_tensors(psi.amplitudes, dpsi)
-    g_inv = np.linalg.inv(g)
-    g_inv = 0.5 * (g_inv + g_inv.T)
-    cond = float(np.linalg.norm(g, 1) * np.linalg.norm(g_inv, 1))
-    omega = 0.5 * big_omega
-    omega_inv = 2.0 * (g_inv @ big_omega @ g_inv)
-    j = g_inv @ big_omega
-    return PointGeometry(g, g_inv, omega, omega_inv, big_omega, j, cond)
+    p_last = require_interior(point)
+    p = point.p
+    m = point.m
+    diag = np.arange(m)
+    qq, pp = np.s_[:m, :m], np.s_[m:, m:]
+    g = np.zeros((2 * m, 2 * m))
+    g_inv = np.zeros((2 * m, 2 * m))
+    g[qq] = -4.0 * np.multiply.outer(p, p)
+    g[diag, diag] += 4.0 * p
+    g[pp] = 1.0 / p_last
+    g[m + diag, m + diag] += 1.0 / p
+    g_inv[qq] = 0.25 / p_last
+    g_inv[diag, diag] += 0.25 / p
+    g_inv[pp] = -np.multiply.outer(p, p)
+    g_inv[m + diag, m + diag] += p
+    omega = np.zeros((2 * m, 2 * m))
+    omega[diag, m + diag] = 1.0
+    omega[m + diag, diag] = -1.0
+    j = np.zeros((2 * m, 2 * m))
+    j[:m, m:] = 2.0 * g_inv[qq]
+    j[m:, :m] = -2.0 * g_inv[pp]
+    return PointGeometry(g, g_inv, omega, omega.copy(), 2.0 * omega, j)
 
 
 def fubini_study_distance(a: StateVector, b: StateVector) -> float:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .constraints import Constraint, algebraic_constraint, observable_constraint
 from .dynamics import HamiltonianFunction, SpectrumData
-from .errors import ChartDomainError, OffSurfaceError, SingularGramError
+from .errors import ChartDomainError, ConfigError, OffSurfaceError, SingularGramError
 from .geometry import ChartPoint, StateVector, embed
 
 SURFACE_TOL = 1e-10
@@ -61,7 +61,6 @@ class SystemDefinition:
     spectrum: SpectrumData
     hamiltonian: HamiltonianFunction
     constraints: Tuple[Constraint, ...]
-    embedding: Callable[[ChartPoint], StateVector]
     oracle: Optional[Callable[[ChartPoint], np.ndarray]] = None
 
     @property
@@ -69,14 +68,7 @@ class SystemDefinition:
         return 2 * (self.n - 1)
 
     def embed(self, point: ChartPoint) -> StateVector:
-        return self.embedding(point)
-
-
-def _chart_embedding(n: int):
-    def embedding(point: ChartPoint) -> StateVector:
-        return embed(point, n)
-
-    return embedding
+        return embed(point, self.n)
 
 
 def diagonal_system(n: int, energies, constraints=()) -> SystemDefinition:
@@ -94,7 +86,6 @@ def diagonal_system(n: int, energies, constraints=()) -> SystemDefinition:
         spectrum=spectrum,
         hamiltonian=HamiltonianFunction(spectrum),
         constraints=tuple(constraints),
-        embedding=_chart_embedding(n),
     )
 
 
@@ -160,63 +151,7 @@ def two_qubit_product_system(energies=(1.0, 2.0, 3.0, 0.0)) -> SystemDefinition:
         spectrum=spectrum,
         hamiltonian=HamiltonianFunction(spectrum),
         constraints=constraints,
-        embedding=_chart_embedding(4),
         oracle=oracle,
-    )
-
-
-def two_qubit_field_presimplified(point: ChartPoint, spectrum: SpectrumData) -> np.ndarray:
-    """The constrained field before the on-surface simplification.
-
-    Shares denominators that may vanish away from the constraint surface;
-    meaningful as a cross-check against the simplified oracle on-surface.
-    """
-    p1, p2, p3 = point.p
-    gaps = spectrum.gaps
-    drive = gaps[0] - gaps[1] - gaps[2]
-    denom = (
-        p2 * p3 * (1.0 - p2 - p3)
-        - p1**2 * (p2 + p3)
-        + p1 * (1.0 - p2 - p3) * (p2 + p3)
-    )
-    qdot = np.array(
-        [
-            gaps[0] - p2 * p3 * (1.0 - 2.0 * p1 - p2 - p3) * drive / denom,
-            gaps[1] + p1 * p3 * (1.0 - p1 - p3) * drive / denom,
-            gaps[2] + p1 * p2 * (1.0 - p1 - p2) * drive / denom,
-        ]
-    )
-    return np.concatenate([qdot, np.zeros(3)])
-
-
-def two_qubit_trig_constraints() -> Tuple[Constraint, Constraint]:
-    """The product condition in its trigonometric form,
-
-        sqrt(p1 p4) cos q1 - sqrt(p2 p3) cos(q2 + q3),
-        sqrt(p1 p4) sin q1 - sqrt(p2 p3) sin(q2 + q3),
-
-    kept as a cross-check fixture; gradients fall back to finite
-    differences."""
-
-    def cos_part(point: ChartPoint) -> float:
-        p1, p2, p3 = point.p
-        p4 = 1.0 - p1 - p2 - p3
-        return float(
-            math.sqrt(p1 * p4) * math.cos(point.q[0])
-            - math.sqrt(p2 * p3) * math.cos(point.q[1] + point.q[2])
-        )
-
-    def sin_part(point: ChartPoint) -> float:
-        p1, p2, p3 = point.p
-        p4 = 1.0 - p1 - p2 - p3
-        return float(
-            math.sqrt(p1 * p4) * math.sin(point.q[0])
-            - math.sqrt(p2 * p3) * math.sin(point.q[1] + point.q[2])
-        )
-
-    return (
-        algebraic_constraint("product-cos", cos_part),
-        algebraic_constraint("product-sin", sin_part),
     )
 
 
@@ -280,7 +215,6 @@ def single_spin_conserved_sx() -> SystemDefinition:
         spectrum=spectrum,
         hamiltonian=HamiltonianFunction(spectrum),
         constraints=(observable_constraint(SIGMA_X, "sigma-x"),),
-        embedding=_chart_embedding(2),
         oracle=oracle,
     )
 
@@ -355,7 +289,10 @@ def sample_interior_point(rng: np.random.Generator, pairs: int) -> ChartPoint:
 
 def system_from_name(name: str, *, energies=None, n=None, constraints=()) -> SystemDefinition:
     """Instantiate a named system: "two-qubit-product", "spin-half-sx" or
-    "diagonal" (which needs n and energies)."""
+    "diagonal" (which needs n and energies).  Only the diagonal system takes
+    extra constraints; the worked systems come with their own."""
+    if constraints and name in ("two-qubit-product", "spin-half-sx"):
+        raise ConfigError("system %r has fixed constraints; extra constraints are not accepted" % name)
     if name == "two-qubit-product":
         if energies is None:
             return two_qubit_product_system()

@@ -1,11 +1,129 @@
-"""Hand-derived closed forms used as independent test oracles.
+"""Hand-derived closed forms and independent cross-checks used as test
+oracles.
 
-Everything here is assembled entry by entry from the explicit matrix
-expressions for the worked systems, deliberately avoiding the library's
-pullback code path.
+The explicit matrices of the worked systems are assembled entry by entry;
+the general-dimension geometry is rebuilt by pulling the Fubini-Study form
+back through the embedding, a route the library itself no longer takes.
 """
 
+import math
+
 import numpy as np
+
+from projflow import ChartPoint, algebraic_constraint, embed, type_decompose
+
+
+def embed_jacobian_fd(point, step=1e-6):
+    """Centred finite-difference cross-check for embed_jacobian.
+
+    Agrees with the analytic derivatives to about the square of the step.
+    The stencil must stay inside the open chart.
+    """
+    x0 = point.coords()
+    m = point.m
+    dpsi = np.empty((2 * m, m + 1), dtype=complex)
+    for a in range(2 * m):
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[a] += step
+        xm[a] -= step
+        fp = embed(ChartPoint.from_coords(xp)).amplitudes
+        fm = embed(ChartPoint.from_coords(xm)).amplitudes
+        dpsi[a] = (fp - fm) / (2.0 * step)
+    return dpsi
+
+
+def pullback_tensors(psi, dpsi):
+    """Metric and fundamental two-form pulled back through an embedding.
+
+    Works for any local embedding given the vector psi and the row-wise
+    derivatives d_a psi.  Returns (g, Omega) with g_ab = Re K_ab and
+    Omega_ab = Im K_ab for the Hermitian form
+
+        K_ab = 4 [ <d_a psi|d_b psi> / <psi|psi>
+                   - <d_a psi|psi><psi|d_b psi> / <psi|psi>^2 ];
+
+    the outputs are exactly symmetrised / antisymmetrised.
+    """
+    nrm = float(np.real(np.vdot(psi, psi)))
+    dconj = dpsi.conj()
+    overlap = dconj @ dpsi.T
+    v = dconj @ psi
+    k = 4.0 * (overlap / nrm - np.outer(v, v.conj()) / nrm**2)
+    g = k.real
+    om = k.imag
+    return 0.5 * (g + g.T), 0.5 * (om - om.T)
+
+
+def decompose_tau_blocks(grad_a, grad_b, geom):
+    """Brute-force assembly of the tau type blocks from decomposed covectors.
+
+    Splits each gradient with type_decompose and wedges the parts directly;
+    serves as an independent cross-check of the projector sandwich used in
+    tau_analysis.
+    """
+    a_pos, a_neg = type_decompose(grad_a, geom)
+    b_pos, b_neg = type_decompose(grad_b, geom)
+    return {
+        "pos_pos": np.outer(a_pos, b_pos) - np.outer(b_pos, a_pos),
+        "pos_neg": np.outer(a_pos, b_neg) - np.outer(b_pos, a_neg),
+        "neg_pos": np.outer(a_neg, b_pos) - np.outer(b_neg, a_pos),
+        "neg_neg": np.outer(a_neg, b_neg) - np.outer(b_neg, a_neg),
+    }
+
+
+def two_qubit_field_presimplified(point, spectrum):
+    """The two-qubit constrained field before the on-surface simplification.
+
+    Shares denominators that may vanish away from the constraint surface;
+    meaningful as a cross-check against the simplified oracle on-surface.
+    """
+    p1, p2, p3 = point.p
+    gaps = spectrum.gaps
+    drive = gaps[0] - gaps[1] - gaps[2]
+    denom = (
+        p2 * p3 * (1.0 - p2 - p3)
+        - p1**2 * (p2 + p3)
+        + p1 * (1.0 - p2 - p3) * (p2 + p3)
+    )
+    qdot = np.array(
+        [
+            gaps[0] - p2 * p3 * (1.0 - 2.0 * p1 - p2 - p3) * drive / denom,
+            gaps[1] + p1 * p3 * (1.0 - p1 - p3) * drive / denom,
+            gaps[2] + p1 * p2 * (1.0 - p1 - p2) * drive / denom,
+        ]
+    )
+    return np.concatenate([qdot, np.zeros(3)])
+
+
+def two_qubit_trig_constraints():
+    """The product condition in its trigonometric form,
+
+        sqrt(p1 p4) cos q1 - sqrt(p2 p3) cos(q2 + q3),
+        sqrt(p1 p4) sin q1 - sqrt(p2 p3) sin(q2 + q3),
+
+    with gradients left to the finite-difference fallback."""
+
+    def cos_part(point):
+        p1, p2, p3 = point.p
+        p4 = 1.0 - p1 - p2 - p3
+        return float(
+            math.sqrt(p1 * p4) * math.cos(point.q[0])
+            - math.sqrt(p2 * p3) * math.cos(point.q[1] + point.q[2])
+        )
+
+    def sin_part(point):
+        p1, p2, p3 = point.p
+        p4 = 1.0 - p1 - p2 - p3
+        return float(
+            math.sqrt(p1 * p4) * math.sin(point.q[0])
+            - math.sqrt(p2 * p3) * math.sin(point.q[1] + point.q[2])
+        )
+
+    return (
+        algebraic_constraint("product-cos", cos_part),
+        algebraic_constraint("product-sin", sin_part),
+    )
 
 
 def metric_two_qubit(p):

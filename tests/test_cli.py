@@ -122,6 +122,46 @@ class TestSimulate:
         assert main(["simulate", cfg]) == 2
 
 
+class TestConfigErrors:
+    """Bad entries exit 2 with a message instead of a traceback."""
+
+    def run(self, tmp_path, capsys, command, payload, *flags):
+        code = main([command, write_config(tmp_path / "cfg.json", payload), *flags])
+        assert "config error" in capsys.readouterr().err
+        return code
+
+    @pytest.mark.parametrize("entry", [{"t_end": float("nan")}, {"dt": float("inf")}])
+    def test_non_finite_times(self, tmp_path, capsys, surface_start, entry):
+        payload = {"system": {"name": "two-qubit-product"}, "initial_point": surface_start,
+                   "output_path": str(tmp_path / "out.csv"), **entry}
+        assert self.run(tmp_path, capsys, "simulate", payload) == 2
+
+    @pytest.mark.parametrize("flags", [("--t-end", "nan"), ("--dt", "inf")])
+    def test_non_finite_time_overrides(self, tmp_path, capsys, surface_start, flags):
+        payload = {"system": {"name": "two-qubit-product"}, "initial_point": surface_start,
+                   "output_path": str(tmp_path / "out.csv")}
+        assert self.run(tmp_path, capsys, "simulate", payload, *flags) == 2
+
+    @pytest.mark.parametrize("value", ["abc", 2.5])
+    def test_non_integer_num_points(self, tmp_path, capsys, value):
+        payload = {"system": {"name": "spin-half-sx"}, "num_points": value}
+        assert self.run(tmp_path, capsys, "check", payload) == 2
+
+    def test_non_integer_seed(self, tmp_path, capsys):
+        payload = {"system": {"name": "spin-half-sx"}, "num_points": 2, "seed": "x"}
+        assert self.run(tmp_path, capsys, "check", payload) == 2
+
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        payload = {"system": {"name": "spin-half-sx"}, "num_points": 2,
+                   "output_path": str(tmp_path / "missing" / "report.json")}
+        assert self.run(tmp_path, capsys, "check", payload) == 2
+
+    def test_constraints_on_named_system(self, tmp_path, capsys):
+        payload = {"system": {"name": "spin-half-sx", "constraints": [{"kind": "population", "index": 1}]},
+                   "num_points": 2}
+        assert self.run(tmp_path, capsys, "check", payload) == 2
+
+
 class TestField:
     def sphere_grid(self, counts=(24, 24)):
         return {

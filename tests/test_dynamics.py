@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from projflow import (
     ChartDomainError,
     ChartPoint,
+    DegenerateGeometryError,
     HamiltonianFunction,
     SpectrumData,
     algebraic_constraint,
@@ -61,6 +62,22 @@ class TestSchrodingerField:
         system = diagonal_system(2, [1.0, 0.0])
         with pytest.raises(ChartDomainError):
             schrodinger_field(ChartPoint([0.0], [1e-12]), system)
+
+    def test_high_dimension_is_gaps_and_zero(self, rng):
+        energies = rng.uniform(-2.0, 2.0, size=64)
+        system = diagonal_system(64, energies)
+        field = constrained_field(sample_interior_point(rng, 63), system)
+        assert np.array_equal(field, np.concatenate([energies[:-1] - energies[-1], np.zeros(63)]))
+
+    def test_guard_inside_boundary_margin(self):
+        # residual weight 1e-10, inside the margin, though the point is in
+        # the open chart; RK4 stage points rely on this guard
+        system = diagonal_system(3, [1.0, 2.0, 0.0])
+        inside = ChartPoint([0.0, 0.1], [0.5, 0.5 - 1e-10])
+        with pytest.raises(DegenerateGeometryError):
+            schrodinger_field(inside, system)
+        with pytest.raises(DegenerateGeometryError):
+            constrained_field(inside, system, ())
 
 
 class TestMultipliers:
@@ -194,6 +211,24 @@ class TestIntegrate:
     def test_invalid_dt(self, spin):
         with pytest.raises(ValueError):
             integrate(spin, ChartPoint([0.9], [0.3]), 1.0, 0.0)
+
+    @pytest.mark.parametrize("t_end, dt", [(float("nan"), 1e-3), (float("inf"), 1e-3), (1.0, float("nan"))])
+    def test_non_finite_times_rejected(self, spin, t_end, dt):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(spin, ChartPoint([0.9], [0.3]), t_end, dt)
+
+    def test_unconverged_projection_truncates(self, spin):
+        # one Newton correction per step of 0.2 leaves the sigma_x residual
+        # above the tolerance; unflagged, this run ended "completed" with a
+        # drift of 2.7e-8
+        x0 = ChartPoint([0.9], [0.3])
+        traj = integrate(spin, x0, 3.0, 0.2, newton_max=1)
+        assert traj.exit_flag == "projection"
+        assert len(traj) < 16
+        assert np.abs(traj.constraint_values - traj.constraint_values[0]).max() < 1e-10
+        full = integrate(spin, x0, 3.0, 0.2)
+        assert full.exit_flag == "completed"
+        assert np.abs(full.constraint_values - full.constraint_values[0]).max() < 1e-10
 
     def test_boundary_truncation(self):
         system = diagonal_system(2, [1.0, 0.0])

@@ -18,8 +18,7 @@ from projflow import (
     single_constraint_orthogonality,
     tau_analysis,
 )
-from projflow.equivalence import decompose_tau_blocks
-
+import closedforms as cf
 from conftest import spin_grid
 
 
@@ -186,7 +185,7 @@ class TestTauAnalysis:
             grad_a = system.constraints[0].gradient(pt)
             grad_b = system.constraints[1].gradient(pt)
             _, _, norms = tau_analysis(pt, system)
-            brute = decompose_tau_blocks(grad_a, grad_b, geom)
+            brute = cf.decompose_tau_blocks(grad_a, grad_b, geom)
             for key, block in brute.items():
                 assert norms[key] == pytest.approx(np.abs(block).max(), abs=1e-12)
 

@@ -7,10 +7,10 @@ from projflow import (
     ChartPoint,
     DegenerateGeometryError,
     StateVector,
+    apply_g_inv,
     chart_from_state,
     embed,
     embed_jacobian,
-    embed_jacobian_fd,
     fubini_study_distance,
     geometry_at,
     nijenhuis_residual,
@@ -71,7 +71,7 @@ class TestJacobian:
         # analytic derivatives against the centred cross-check utility
         for pairs in (1, 3):
             pt = sample_interior_point(rng, pairs)
-            gap = np.abs(embed_jacobian(pt) - embed_jacobian_fd(pt, step=1e-6)).max()
+            gap = np.abs(embed_jacobian(pt) - cf.embed_jacobian_fd(pt, step=1e-6)).max()
             assert gap < 1e-6
 
 
@@ -166,6 +166,40 @@ class TestPointGeometry:
             geometry_at(ChartPoint([0.0], [1e-10]))
         with pytest.raises(DegenerateGeometryError):
             geometry_at(ChartPoint([0.0, 0.0, 0.0], [0.4, 0.4, 0.2 - 1e-10]))
+
+
+class TestClosedForm:
+    """The closed-form tensors against the Fubini-Study pullback oracle and a
+    dense inverse."""
+
+    @staticmethod
+    def rel_gap(value, reference):
+        return np.abs(value - reference).max() / np.abs(reference).max()
+
+    @pytest.mark.parametrize("pairs", [1, 3, 7, 63])
+    def test_matches_pullback_and_inverse(self, rng, pairs):
+        pt = sample_interior_point(rng, pairs)
+        g, big_omega = cf.pullback_tensors(embed(pt).amplitudes, embed_jacobian(pt))
+        g_inv = np.linalg.inv(g)
+        oracle = {
+            "g": g,
+            "g_inv": g_inv,
+            "big_omega": big_omega,
+            "omega": 0.5 * big_omega,
+            "omega_inv": 2.0 * g_inv @ big_omega @ g_inv,
+            "j": g_inv @ big_omega,
+        }
+        geom = geometry_at(pt)
+        for name, reference in oracle.items():
+            assert self.rel_gap(getattr(geom, name), reference) < 1e-12, name
+        covector = rng.normal(size=2 * pairs)
+        columns = rng.normal(size=(2 * pairs, 3))
+        assert self.rel_gap(apply_g_inv(pt, covector), g_inv @ covector) < 1e-12
+        assert self.rel_gap(apply_g_inv(pt, columns), g_inv @ columns) < 1e-12
+
+    def test_apply_g_inv_guard(self):
+        with pytest.raises(DegenerateGeometryError):
+            apply_g_inv(ChartPoint([0.0], [1e-10]), np.ones(2))
 
 
 class TestNijenhuis:

@@ -21,10 +21,6 @@ from projflow import (
     system_from_name,
     to_angular,
 )
-from projflow.systems import (
-    two_qubit_field_presimplified,
-    two_qubit_trig_constraints,
-)
 
 import closedforms as cf
 
@@ -51,7 +47,7 @@ class TestTwoQubitSystem:
         for seed in range(20):
             pt = product_surface_sample(seed)
             assert_allclose(
-                two_qubit_field_presimplified(pt, two_qubit.spectrum),
+                cf.two_qubit_field_presimplified(pt, two_qubit.spectrum),
                 two_qubit.oracle(pt),
                 atol=1e-12,
             )
@@ -94,7 +90,7 @@ class TestSurfaceSampler:
 class TestTrigConstraints:
     def test_zero_sets_coincide(self, rng):
         # restrict angles so branch ambiguity cannot split the zero sets
-        cos_c, sin_c = two_qubit_trig_constraints()
+        cos_c, sin_c = cf.two_qubit_trig_constraints()
         for seed in range(10):
             pt = product_surface_sample(seed)
             q2, q3 = rng.uniform(0.05, np.pi - 0.05, size=2)

@@ -27,7 +27,7 @@ from .constraints import algebraic_constraint, gram_covariance_check, observable
 from .dynamics import constrained_field, integrate
 from .equivalence import equivalence_report
 from .errors import ChartDomainError, ConfigError, SingularGramError
-from .geometry import ChartPoint, geometry_at, nijenhuis_residual
+from .geometry import ChartPoint, geometry_at, nijenhuis_residual, require_interior
 from .systems import (
     AngularPoint,
     SystemDefinition,
@@ -38,7 +38,6 @@ from .systems import (
     system_from_name,
 )
 
-COMMANDS = ("simulate", "field", "check", "validate")
 # Singular fixed points of the conserved-sigma_x example in (q, p); grids and
 # sampled check points keep clear of these.
 SPIN_SINGULAR_POINTS = ((0.0, 0.5), (math.pi, 0.5), (2.0 * math.pi, 0.5))
@@ -94,9 +93,14 @@ class RunConfig:
 
 
 def _build_constraint(spec, n: int):
+    if not isinstance(spec, dict):
+        raise ConfigError("constraint entries must be objects, got %r" % (spec,))
     kind = spec.get("kind")
     if kind == "observable":
-        return observable_constraint(np.asarray(spec["matrix"], dtype=float), spec.get("name", "observable"))
+        matrix = np.asarray(spec["matrix"], dtype=float)
+        if matrix.shape != (n, n):
+            raise ConfigError("observable matrix must be %d x %d, got shape %s" % (n, n, matrix.shape))
+        return observable_constraint(matrix, spec.get("name", "observable"))
     if kind == "population":
         index = int(spec["index"])
         if not 1 <= index <= n - 1:
@@ -120,6 +124,19 @@ def _entry(raw: dict, key: str, default, types, what: str):
     return value
 
 
+def _chart_point(spec, pairs: int, what: str) -> ChartPoint:
+    """A {"q": [...], "p": [...]} entry as a point of a chart with the given
+    number of pairs, inside the guarded chart interior."""
+    try:
+        point = ChartPoint(np.asarray(spec["q"], float), np.asarray(spec["p"], float))
+        if point.m != pairs:
+            raise ValueError("%d pairs where the system needs %d" % (point.m, pairs))
+        require_interior(point)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("bad %s: %s" % (what, exc))
+    return point
+
+
 def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -134,31 +151,27 @@ def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunCo
     sysspec = raw.get("system")
     if not isinstance(sysspec, dict) or "name" not in sysspec:
         raise ConfigError("config needs a system object with a name")
-    name = sysspec["name"]
-    n = sysspec.get("n")
+    n = _entry(sysspec, "n", None, (int, type(None)), "an integer")
+    specs = _entry(sysspec, "constraints", [], list, "a list")
     try:
-        extra_constraints = tuple(
-            _build_constraint(c, int(n) if n else 2) for c in sysspec.get("constraints", [])
-        )
         system = system_from_name(
-            name,
+            sysspec["name"],
             energies=sysspec.get("energies"),
             n=n,
-            constraints=extra_constraints,
+            constraints=tuple(_build_constraint(c, n or 2) for c in specs),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
     cfg = RunConfig(command=command, system=system)
     cfg.constraints_active = raw.get("constraints", "default") != "none"
+    pairs = system.n - 1
     if raw.get("initial_point") is not None:
-        ip = raw["initial_point"]
-        try:
-            cfg.initial_point = ChartPoint(np.asarray(ip["q"], float), np.asarray(ip["p"], float))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("bad initial_point: %s" % exc)
+        cfg.initial_point = _chart_point(raw["initial_point"], pairs, "initial_point")
+    points = _entry(raw, "points", None, (list, type(None)), "a list")
+    if points:
+        cfg.points = [_chart_point(p, pairs, "points entry") for p in points]
     cfg.grid = raw.get("grid")
-    cfg.points = raw.get("points")
     cfg.num_points = _entry(raw, "num_points", 50, int, "an integer")
     cfg.t_end = float(_entry(raw, "t_end", 1.0, (int, float), "a number"))
     cfg.dt = float(_entry(raw, "dt", 1e-3, (int, float), "a number"))
@@ -252,42 +265,40 @@ def _grid_axis(spec, name, lo, hi):
 
 
 def cmd_field(cfg: RunConfig) -> int:
-    if cfg.grid is None:
-        raise ConfigError("field needs a grid")
+    grid = cfg.grid
+    if not isinstance(grid, dict):
+        raise ConfigError("field needs a grid object")
     if cfg.output_path is None:
         raise ConfigError("field needs an output_path")
     system = cfg.system
     if system.n != 2:
         raise ConfigError("field scans are defined for two-level systems")
-    kind = cfg.grid.get("kind", "angular")
-    lines = []
+    kind = grid.get("kind", "angular")
     if kind == "angular":
-        thetas = _grid_axis(cfg.grid, "theta", 1e-12, math.pi - 1e-12)
-        phis = _grid_axis(cfg.grid, "phi", 0.0, 2.0 * math.pi)
-        lines.append("theta,phi,theta_dot,phi_dot,flag")
-        for theta in thetas:
-            for phi in phis:
-                try:
-                    point = from_angular(AngularPoint(theta, phi))
-                    vel = constrained_field(point, system)
-                    tdot, pdot = pushforward_to_angular(point, vel)
-                    lines.append(",".join([_fmt(theta), _fmt(phi), _fmt(tdot), _fmt(pdot), "ok"]))
-                except (SingularGramError, ChartDomainError):
-                    lines.append(",".join([_fmt(theta), _fmt(phi), "nan", "nan", "singular"]))
+        header = "theta,phi,theta_dot,phi_dot,flag"
+        axes = (_grid_axis(grid, "theta", 1e-12, math.pi - 1e-12),
+                _grid_axis(grid, "phi", 0.0, 2.0 * math.pi))
+
+        def rates(theta, phi):
+            point = from_angular(AngularPoint(theta, phi))
+            return pushforward_to_angular(point, constrained_field(point, system))
     elif kind == "chart":
-        qs = _grid_axis(cfg.grid, "q", -2.0 * math.pi, 2.0 * math.pi)
-        ps = _grid_axis(cfg.grid, "p", 1e-12, 1.0 - 1e-12)
-        lines.append("q,p,q_dot,p_dot,flag")
-        for q in qs:
-            for p in ps:
-                try:
-                    point = ChartPoint([q], [p])
-                    vel = constrained_field(point, system)
-                    lines.append(",".join([_fmt(q), _fmt(p), _fmt(vel[0]), _fmt(vel[1]), "ok"]))
-                except (SingularGramError, ChartDomainError):
-                    lines.append(",".join([_fmt(q), _fmt(p), "nan", "nan", "singular"]))
+        header = "q,p,q_dot,p_dot,flag"
+        axes = (_grid_axis(grid, "q", -2.0 * math.pi, 2.0 * math.pi),
+                _grid_axis(grid, "p", 1e-12, 1.0 - 1e-12))
+
+        def rates(q, p):
+            return constrained_field(ChartPoint([q], [p]), system)
     else:
         raise ConfigError("unknown grid kind %r" % kind)
+    lines = [header]
+    for a in axes[0]:
+        for b in axes[1]:
+            try:
+                row = [_fmt(a), _fmt(b)] + [_fmt(v) for v in rates(a, b)] + ["ok"]
+            except (SingularGramError, ChartDomainError):
+                row = [_fmt(a), _fmt(b), "nan", "nan", "singular"]
+            lines.append(",".join(row))
     _write_text(cfg.output_path, "\n".join(lines) + "\n")
     print("wrote %d field rows -> %s" % (len(lines) - 1, cfg.output_path))
     return 0
@@ -295,13 +306,7 @@ def cmd_field(cfg: RunConfig) -> int:
 
 def _check_points(cfg: RunConfig) -> list:
     if cfg.points:
-        try:
-            return [
-                ChartPoint(np.asarray(p["q"], float), np.asarray(p["p"], float))
-                for p in cfg.points
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("bad points entry: %s" % exc)
+        return cfg.points
     system = cfg.system
     rng = np.random.default_rng(cfg.seed)
     points = []
@@ -376,42 +381,22 @@ def cmd_validate(cfg: RunConfig) -> int:
     canonical[:pairs, pairs:] = np.eye(pairs)
     canonical[pairs:, :pairs] = -np.eye(pairs)
     probes = _probe_observables(system.n)
-
-    residuals = {
-        "j_squared": 0.0,
-        "hermitian_metric": 0.0,
-        "two_form_inverse": 0.0,
-        "canonical_symplectic": 0.0,
-        "nijenhuis": 0.0,
-        "gram_covariance": 0.0,
-    }
-    for _ in range(cfg.num_points):
-        pt = sample_interior_point(rng, pairs)
-        geom = geometry_at(pt)
-        residuals["j_squared"] = max(residuals["j_squared"], float(np.abs(geom.j @ geom.j + eye).max()))
-        residuals["hermitian_metric"] = max(
-            residuals["hermitian_metric"], float(np.abs(geom.j.T @ geom.g @ geom.j - geom.g).max())
-        )
-        residuals["two_form_inverse"] = max(
-            residuals["two_form_inverse"], float(np.abs(geom.big_omega_inv @ geom.big_omega.T - eye).max())
-        )
-        residuals["canonical_symplectic"] = max(
-            residuals["canonical_symplectic"], float(np.abs(geom.omega - canonical).max())
-        )
-        residuals["nijenhuis"] = max(residuals["nijenhuis"], nijenhuis_residual(pt))
-        residuals["gram_covariance"] = max(residuals["gram_covariance"], gram_covariance_check(probes, pt))
-
-    tolerances = {name: VALIDATE_TOL for name in residuals}
-    tolerances["nijenhuis"] = VALIDATE_NIJENHUIS_TOL
-    checks = [
-        {
-            "name": name,
-            "max_residual": residuals[name],
-            "tolerance": tolerances[name],
-            "pass": residuals[name] < tolerances[name],
-        }
-        for name in residuals
-    ]
+    table = (
+        ("j_squared", VALIDATE_TOL, lambda pt, geom: np.abs(geom.j @ geom.j + eye).max()),
+        ("hermitian_metric", VALIDATE_TOL,
+         lambda pt, geom: np.abs(geom.j.T @ geom.g @ geom.j - geom.g).max()),
+        ("two_form_inverse", VALIDATE_TOL,
+         lambda pt, geom: np.abs(geom.big_omega_inv @ geom.big_omega.T - eye).max()),
+        ("canonical_symplectic", VALIDATE_TOL, lambda pt, geom: np.abs(geom.omega - canonical).max()),
+        ("nijenhuis", VALIDATE_NIJENHUIS_TOL, lambda pt, geom: nijenhuis_residual(pt)),
+        ("gram_covariance", VALIDATE_TOL, lambda pt, geom: gram_covariance_check(probes, pt)),
+    )
+    points = [sample_interior_point(rng, pairs) for _ in range(cfg.num_points)]
+    samples = [(pt, geometry_at(pt)) for pt in points]
+    checks = []
+    for name, tol, residual in table:
+        worst = max([0.0] + [float(residual(pt, geom)) for pt, geom in samples])
+        checks.append({"name": name, "max_residual": worst, "tolerance": tol, "pass": worst < tol})
     all_pass = all(c["pass"] for c in checks)
     payload = {
         "system": system.name,
@@ -429,6 +414,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
+COMMANDS = {"simulate": cmd_simulate, "field": cmd_field, "check": cmd_check, "validate": cmd_validate}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="projflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -442,14 +430,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--no-projection", action="store_true", dest="no_projection")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.command, args)
-        handler = {
-            "simulate": cmd_simulate,
-            "field": cmd_field,
-            "check": cmd_check,
-            "validate": cmd_validate,
-        }[args.command]
-        return handler(cfg)
+        return COMMANDS[args.command](load_config(args.config, args.command, args))
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ import numpy as np
 
 from .constraints import Constraint, constraint_frame, resolve_constraints
 from .errors import ChartDomainError, SingularGramError
-from .geometry import BOUNDARY_MARGIN, ChartPoint, StateVector, chart_from_state, embed, require_interior
+from .geometry import ChartPoint, StateVector, chart_from_state, embed, require_interior
 
 PROJECTION_TOL = 1e-10
 
@@ -150,12 +150,6 @@ def constrained_field(point: ChartPoint, system, constraints=None) -> np.ndarray
     return free - frame.normals.T @ frame.multipliers(free)
 
 
-def _interior(x: np.ndarray) -> bool:
-    m = x.size // 2
-    p = x[m:]
-    return float(p.min()) > BOUNDARY_MARGIN and 1.0 - float(p.sum()) > BOUNDARY_MARGIN
-
-
 def integrate(
     system,
     x0: ChartPoint,
@@ -165,7 +159,6 @@ def integrate(
     constraints: Optional[Sequence[Constraint]] = None,
     projection: Optional[bool] = None,
     newton_max: int = 5,
-    projection_tol: float = PROJECTION_TOL,
 ) -> Trajectory:
     """Fixed-step RK4 integration of the (constrained) flow.
 
@@ -177,11 +170,13 @@ def integrate(
     corrections along the metric normals g^{-1} grad Phi pull the values
     back to the initial ones after every step.
 
-    If a stage point leaves the guarded chart interior the trajectory is
-    truncated with exit_flag "boundary"; a singular constraint Gram matrix
-    en route truncates with "singular"; a step whose constraint residual is
-    still at or above projection_tol after newton_max corrections truncates
-    with "projection".  Truncation drops the offending step.
+    The start point must lie inside the guarded chart (require_interior).
+    If a stage point, a step or a projected point leaves it, the trajectory
+    is truncated with exit_flag "boundary"; a singular constraint Gram
+    matrix en route truncates with "singular"; a step whose constraint
+    residual is still at or above PROJECTION_TOL after newton_max
+    corrections truncates with "projection".  Truncation drops the
+    offending step.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
@@ -195,27 +190,30 @@ def integrate(
     def field(x: np.ndarray) -> np.ndarray:
         return constrained_field(ChartPoint.from_coords(x), system, cons)
 
-    x = x0.coords().copy()
-    if not _interior(x):
-        raise ChartDomainError("start point is not inside the guarded chart interior")
-    targets = np.array([c.value(x0) for c in cons])
+    def measure(pt: ChartPoint) -> np.ndarray:
+        return np.array([c.value(pt) for c in cons])
 
-    def project(x: np.ndarray):
-        """Newton-correct x onto the start level set; None if newton_max
-        corrections leave the residual at or above projection_tol."""
+    require_interior(x0)
+    targets = measure(x0)
+
+    def project(pt: ChartPoint):
+        """Newton-correct pt onto the start level set; returns the point
+        and its constraint values, or None if newton_max corrections leave
+        the residual at or above PROJECTION_TOL."""
         for i in range(newton_max + 1):
-            pt = ChartPoint.from_coords(x)
-            residual = np.array([c.value(pt) for c in cons]) - targets
-            if np.abs(residual).max() < projection_tol:
-                return x
+            phi = measure(pt)
+            residual = phi - targets
+            if np.abs(residual).max() < PROJECTION_TOL:
+                return pt, phi
             if i == newton_max:
                 return None
             frame = constraint_frame(cons, pt)
-            x = x - frame.normals.T @ (frame.gram.m_inv @ residual)
+            pt = ChartPoint.from_coords(pt.coords() - frame.normals.T @ (frame.gram.m_inv @ residual))
 
+    x = x0.coords()
     times = [0.0]
-    states = [x.copy()]
-    values = [targets.copy()]
+    states = [x]
+    values = [targets]
     energies = [ham.value(x0)]
     flag = "completed"
     t = 0.0
@@ -226,18 +224,17 @@ def integrate(
             k2 = field(x + 0.5 * h * k1)
             k3 = field(x + 0.5 * h * k2)
             k4 = field(x + h * k3)
-            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not _interior(x_new):
-                flag = "boundary"
-                break
+            point = ChartPoint.from_coords(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            require_interior(point)
             if projection and cons:
-                x_new = project(x_new)
-                if x_new is None:
+                projected = project(point)
+                if projected is None:
                     flag = "projection"
                     break
-                if not _interior(x_new):
-                    flag = "boundary"
-                    break
+                point, measured = projected
+                require_interior(point)
+            else:
+                measured = measure(point)
         except SingularGramError:
             flag = "singular"
             break
@@ -245,12 +242,11 @@ def integrate(
             flag = "boundary"
             break
         t += h
-        x = x_new
-        pt = ChartPoint.from_coords(x)
+        x = point.coords()
         times.append(t)
-        states.append(x.copy())
-        values.append(np.array([c.value(pt) for c in cons]))
-        energies.append(ham.value(pt))
+        states.append(x)
+        values.append(measured)
+        energies.append(ham.value(point))
 
     states = np.array(states)
     m = x0.m

@@ -43,7 +43,7 @@ class EquivalenceReport:
 
     tau_sign is "plus", "minus" or "neither" for two-constraint
     configurations and None otherwise.  The verdict is "equivalent" exactly
-    when the J-invariance residual is below the tolerance used.
+    when the J-invariance residual is below EQUIVALENCE_TOL.
     """
 
     j_invariance_residual: float
@@ -186,9 +186,9 @@ def annihilation_check(point: ChartPoint, system, constraints=None, frame=None, 
     return right, left
 
 
-def equivalence_report(point: ChartPoint, system, constraints=None, tol=EQUIVALENCE_TOL) -> EquivalenceReport:
-    """Evaluate every diagnostic at one point and render the verdict, from
-    one constraint frame and one geometry evaluation."""
+def equivalence_report(point: ChartPoint, system, constraints=None) -> EquivalenceReport:
+    """Evaluate every diagnostic at one point and render the verdict at
+    EQUIVALENCE_TOL, from one constraint frame and one geometry evaluation."""
     geom = geometry_at(point)
     frame = _frame(point, system, constraints, None)
     if frame is None:
@@ -197,7 +197,7 @@ def equivalence_report(point: ChartPoint, system, constraints=None, tol=EQUIVALE
         j_res = j_invariance_residual(point, system, constraints, frame, geom)
         right, left = annihilation_check(point, system, constraints, frame, geom)
         tau_sign = tau_analysis(point, system, constraints, frame, geom)[1] if len(frame.names) == 2 else None
-    verdict = "equivalent" if j_res < tol else "not_equivalent"
+    verdict = "equivalent" if j_res < EQUIVALENCE_TOL else "not_equivalent"
     return EquivalenceReport(
         j_invariance_residual=j_res,
         right_annihilation_residual=right,

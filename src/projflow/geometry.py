@@ -160,7 +160,7 @@ def embed(point: ChartPoint, n: int | None = None) -> StateVector:
     """
     m = point.m
     if n is not None and n != m + 1:
-        raise ValueError("chart has %d pairs but the system dimension is %d" % (m, n))
+        raise ValueError("chart has %d pairs but an n = %d system needs %d" % (m, n, n - 1))
     p_last = 1.0 - point.p.sum()
     if np.any(point.p <= 0.0) or p_last <= 0.0:
         raise ChartDomainError(

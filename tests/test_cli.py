@@ -156,6 +156,24 @@ class TestConfigErrors:
                    "output_path": str(tmp_path / "missing" / "report.json")}
         assert self.run(tmp_path, capsys, "check", payload) == 2
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("check", {"system": {"name": "spin-half-sx"}, "points": [{"q": [0.1, 0.2], "p": [0.3, 0.2]}]}),
+            ("check", {"system": {"name": "spin-half-sx"}, "points": [{"q": [0.1], "p": [1.5]}]}),
+            ("field", {"system": {"name": "spin-half-sx"}, "grid": [1, 2], "output_path": "unused.csv"}),
+            ("check", {"system": {"name": "diagonal", "n": 2, "energies": [1.0, 0.0], "constraints": 5}}),
+            ("check", {"system": {"name": "diagonal", "n": 2, "energies": [1.0, 0.0], "constraints": [1]}}),
+            ("check", {"system": {"name": "diagonal", "n": 3, "energies": [1.0, 0.5, 0.0],
+                                  "constraints": [{"kind": "observable", "matrix": [[0, 1], [1, 0]]}]}}),
+            ("check", {"system": {"name": "diagonal", "n": [3], "energies": [1.0, 0.5, 0.0]}}),
+        ],
+        ids=["point-pairs", "point-outside-chart", "grid-not-object", "constraints-not-list",
+             "constraint-not-object", "observable-not-n-by-n", "n-not-integer"],
+    )
+    def test_malformed_entries(self, tmp_path, capsys, command, payload):
+        assert self.run(tmp_path, capsys, command, payload) == 2
+
     def test_constraints_on_named_system(self, tmp_path, capsys):
         payload = {"system": {"name": "spin-half-sx", "constraints": [{"kind": "population", "index": 1}]},
                    "num_points": 2}

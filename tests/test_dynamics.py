@@ -19,6 +19,7 @@ from projflow import (
     sample_interior_point,
     schrodinger_field,
 )
+from projflow.geometry import BOUNDARY_MARGIN
 
 import closedforms as cf
 
@@ -234,6 +235,21 @@ class TestIntegrate:
         system = diagonal_system(2, [1.0, 0.0])
         with pytest.raises(ChartDomainError):
             integrate(system, ChartPoint([0.0], [1e-10]), 1.0, 0.01, constraints=())
+
+    @pytest.mark.parametrize("projection", [True, False])
+    def test_boundary_truncation_mid_run(self, projection):
+        # holding Phi = q + log p fixed while q advances drives p towards
+        # the chart boundary; the run stops there, not at t_end
+        system = diagonal_system(2, [1.0, 0.0])
+        phi = algebraic_constraint(
+            "q-plus-log-p",
+            lambda pt: float(pt.q[0] + np.log(pt.p[0])),
+            lambda pt: np.array([1.0, 1.0 / pt.p[0]]),
+        )
+        traj = integrate(system, ChartPoint([0.0], [0.5]), 60.0, 0.01, constraints=(phi,), projection=projection)
+        assert traj.exit_flag == "boundary"
+        assert 1 < len(traj) and traj.times[-1] < 60.0
+        assert min(traj.point(i).margin for i in range(len(traj))) >= BOUNDARY_MARGIN
 
     def test_singular_truncation(self, spin):
         # the constraint gradient vanishes at (q, p) = (0, 1/2)

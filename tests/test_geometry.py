@@ -52,8 +52,10 @@ class TestEmbed:
             embed(ChartPoint(q, p))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="chart has 1 pairs but an n = 4 system needs 3"):
             embed(ChartPoint([0.1], [0.3]), n=4)
+        with pytest.raises(ValueError, match="chart has 2 pairs but an n = 2 system needs 1"):
+            embed(ChartPoint([0.1, 0.2], [0.3, 0.2]), n=2)
 
     def test_round_trip_with_extraction(self, rng):
         pt = sample_interior_point(rng, 2)

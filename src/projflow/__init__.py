@@ -10,7 +10,6 @@ symplectic structure.
 from .constraints import (
     Constraint,
     ConstraintFrame,
-    GramMatrix,
     algebraic_constraint,
     constraint_frame,
     covariance_matrix,
@@ -25,7 +24,6 @@ from .dynamics import (
     SpectrumData,
     Trajectory,
     constrained_field,
-    exact_unitary_oracle,
     integrate,
     multipliers,
     schrodinger_field,
@@ -36,7 +34,6 @@ from .equivalence import (
     equivalence_report,
     j_invariance_residual,
     modified_symplectic,
-    mu_tensor,
     single_constraint_orthogonality,
     tau_analysis,
 )
@@ -45,7 +42,6 @@ from .errors import (
     ConfigError,
     DegenerateGeometryError,
     EigenstateDegenerateError,
-    OffSurfaceError,
     SingularGramError,
 )
 from .geometry import (
@@ -65,7 +61,6 @@ from .geometry import (
 from .systems import (
     AngularPoint,
     SystemDefinition,
-    angular_oracle_field,
     diagonal_system,
     from_angular,
     product_surface_sample,
@@ -73,7 +68,6 @@ from .systems import (
     sample_interior_point,
     single_spin_conserved_sx,
     system_from_name,
-    to_angular,
     two_qubit_product_system,
 )
 
@@ -89,9 +83,7 @@ __all__ = [
     "DegenerateGeometryError",
     "EigenstateDegenerateError",
     "EquivalenceReport",
-    "GramMatrix",
     "HamiltonianFunction",
-    "OffSurfaceError",
     "PointGeometry",
     "SingularGramError",
     "SpectrumData",
@@ -99,7 +91,6 @@ __all__ = [
     "SystemDefinition",
     "Trajectory",
     "algebraic_constraint",
-    "angular_oracle_field",
     "annihilation_check",
     "apply_g_inv",
     "chart_from_state",
@@ -110,7 +101,6 @@ __all__ = [
     "embed",
     "embed_jacobian",
     "equivalence_report",
-    "exact_unitary_oracle",
     "finite_difference_gradient",
     "from_angular",
     "fubini_study_distance",
@@ -120,7 +110,6 @@ __all__ = [
     "integrate",
     "j_invariance_residual",
     "modified_symplectic",
-    "mu_tensor",
     "multipliers",
     "nijenhuis_residual",
     "nijenhuis_tensor",
@@ -133,7 +122,6 @@ __all__ = [
     "single_spin_conserved_sx",
     "system_from_name",
     "tau_analysis",
-    "to_angular",
     "two_constraint_determinant",
     "two_qubit_product_system",
     "type_decompose",

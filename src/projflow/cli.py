@@ -102,7 +102,7 @@ def _build_constraint(spec, n: int):
             raise ConfigError("observable matrix must be %d x %d, got shape %s" % (n, n, matrix.shape))
         return observable_constraint(matrix, spec.get("name", "observable"))
     if kind == "population":
-        index = int(spec["index"])
+        index = _entry(spec, "index", None, int, "an integer")
         if not 1 <= index <= n - 1:
             raise ConfigError("population index out of range")
         grad = np.zeros(2 * (n - 1))
@@ -164,7 +164,10 @@ def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunCo
         raise ConfigError(str(exc))
 
     cfg = RunConfig(command=command, system=system)
-    cfg.constraints_active = raw.get("constraints", "default") != "none"
+    active = raw.get("constraints", "default")
+    if active not in ("default", "none"):
+        raise ConfigError('constraints must be "default" or "none", got %r' % (active,))
+    cfg.constraints_active = active == "default"
     pairs = system.n - 1
     if raw.get("initial_point") is not None:
         cfg.initial_point = _chart_point(raw["initial_point"], pairs, "initial_point")
@@ -175,7 +178,9 @@ def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunCo
     cfg.num_points = _entry(raw, "num_points", 50, int, "an integer")
     cfg.t_end = float(_entry(raw, "t_end", 1.0, (int, float), "a number"))
     cfg.dt = float(_entry(raw, "dt", 1e-3, (int, float), "a number"))
-    cfg.projection = bool(raw.get("projection", True))
+    cfg.projection = raw.get("projection", True)
+    if not isinstance(cfg.projection, bool):
+        raise ConfigError("projection must be true or false, got %r" % (cfg.projection,))
     cfg.output_path = _entry(raw, "output_path", None, (str, type(None)), "a path string")
     cfg.seed = _entry(raw, "seed", 0, int, "an integer")
 
@@ -253,12 +258,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _grid_axis(spec, name, lo, hi):
-    try:
-        start = float(spec["%s_min" % name])
-        stop = float(spec["%s_max" % name])
-        count = int(spec["%s_count" % name])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("bad grid axis %r: %s" % (name, exc))
+    start = float(_entry(spec, "%s_min" % name, None, (int, float), "a number"))
+    stop = float(_entry(spec, "%s_max" % name, None, (int, float), "a number"))
+    count = _entry(spec, "%s_count" % name, None, int, "an integer")
     if count < 1 or not (lo <= start <= stop <= hi):
         raise ConfigError("grid axis %r outside its chart range" % name)
     return np.linspace(start, stop, count) if count > 1 else np.array([start])

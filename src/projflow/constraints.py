@@ -113,50 +113,41 @@ def observable_constraint(matrix, name="observable") -> Constraint:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Gram matrix M^{ij} of constraint gradients under g^{-1}.
-
-    m_inv holds the inverse M_ij when the matrix is judged invertible and
-    None otherwise; condition_number is the sigma_max/sigma_min estimate.
-    """
-
-    m: np.ndarray
-    m_inv: Optional[np.ndarray]
-    condition_number: float
-
-    @property
-    def size(self) -> int:
-        return self.m.shape[0]
-
-
-@dataclass(frozen=True)
 class ConstraintFrame:
     """The constraint data of one chart point, built once and shared by the
     constrained field, the multipliers, the Newton projection and the
     equivalence diagnostics.
 
-    rows:    gradients grad_a Phi^i as rows, shape (N, 2n-2).
-    normals: the metric normals g^{ab} grad_b Phi^i as rows.
-    gram:    the Gram matrix of the rows, see gram_matrix.
+    rows:             gradients grad_a Phi^i as rows, shape (N, 2n-2).
+    normals:          the metric normals g^{ab} grad_b Phi^i as rows.
+    gram / gram_inv:  the Gram matrix M^{ij} of the rows and its inverse
+                      M_ij, both exactly symmetric.
+    condition_number: the sigma_max/sigma_min estimate of M.
     """
 
     names: Tuple[str, ...]
     rows: np.ndarray
     normals: np.ndarray
-    gram: GramMatrix
+    gram: np.ndarray
+    gram_inv: np.ndarray
+    condition_number: float
 
     def multipliers(self, v: np.ndarray) -> np.ndarray:
         """lambda_i = M_ij grad_a Phi^j v^a: the components of the vector v
         along the metric normals."""
-        lam = self.gram.m_inv @ (self.rows @ v)
+        lam = self.gram_inv @ (self.rows @ v)
         if not np.isfinite(lam).all():
-            raise SingularGramError(self.names, self.gram.condition_number)
+            raise SingularGramError(self.names, self.condition_number)
         return lam
 
     @property
     def mu(self) -> np.ndarray:
-        """mu_bc = M_ij grad_b Phi^i grad_c Phi^j, exactly symmetrised."""
-        mu = self.rows.T @ self.gram.m_inv @ self.rows
+        """mu_bc = M_ij grad_b Phi^i grad_c Phi^j, exactly symmetrised.
+
+        Invariant under invertible linear recombination of the constraint
+        set since M_ij transforms contragrediently.
+        """
+        mu = self.rows.T @ self.gram_inv @ self.rows
         return 0.5 * (mu + mu.T)
 
 
@@ -170,9 +161,16 @@ def gradient_rows(constraints: Sequence[Constraint], point: ChartPoint) -> np.nd
     return np.array([c.gradient(point) for c in constraints], dtype=float)
 
 
-def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint, *, strict=True) -> ConstraintFrame:
-    """Gradients, metric normals and Gram matrix of a constraint set at one
-    point; the singularity rule and strict are those of gram_matrix."""
+def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint) -> ConstraintFrame:
+    """Gradients, metric normals and Gram matrix
+    M^{ij} = g^{ab} grad_a Phi^i grad_b Phi^j of a constraint set at one
+    point, with the inverse of M.
+
+    A Gram matrix whose condition estimate exceeds GRAM_CONDITION_LIMIT
+    (redundant constraints) or whose smallest singular value falls under
+    the floor (a vanishing gradient) is singular and raises
+    SingularGramError naming the constraints.
+    """
     if len(constraints) == 0:
         raise ValueError("at least one constraint is required")
     names = tuple(c.name for c in constraints)
@@ -184,25 +182,15 @@ def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint, *, st
     smax = float(sv[0])
     smin = float(sv[-1])
     cond = np.inf if smin == 0.0 else smax / smin
-    singular = smin < GRAM_SINGULAR_FLOOR * max(1.0, smax) or cond > GRAM_CONDITION_LIMIT
-    if singular:
-        if strict:
-            raise SingularGramError(names, cond)
-        return ConstraintFrame(names, rows, normals, GramMatrix(m, None, float(cond)))
+    if smin < GRAM_SINGULAR_FLOOR * max(1.0, smax) or cond > GRAM_CONDITION_LIMIT:
+        raise SingularGramError(names, cond)
     m_inv = np.linalg.inv(m)
-    return ConstraintFrame(names, rows, normals, GramMatrix(m, 0.5 * (m_inv + m_inv.T), float(cond)))
+    return ConstraintFrame(names, rows, normals, m, 0.5 * (m_inv + m_inv.T), float(cond))
 
 
-def gram_matrix(constraints: Sequence[Constraint], point: ChartPoint, *, strict: bool = True) -> GramMatrix:
-    """Build M^{ij} = g^{ab} grad_a Phi^i grad_b Phi^j and invert it.
-
-    The result is exactly symmetric.  A matrix whose condition estimate
-    exceeds GRAM_CONDITION_LIMIT (redundant constraints) or whose smallest
-    singular value falls under the floor (a vanishing gradient) is
-    singular: with strict=True this raises SingularGramError naming the
-    constraints, otherwise the GramMatrix is returned with m_inv = None.
-    """
-    return constraint_frame(constraints, point, strict=strict).gram
+def gram_matrix(constraints: Sequence[Constraint], point: ChartPoint) -> np.ndarray:
+    """The Gram matrix M^{ij} of constraint_frame."""
+    return constraint_frame(constraints, point).gram
 
 
 def covariance_matrix(observables: Sequence[np.ndarray], state: StateVector) -> np.ndarray:
@@ -238,17 +226,18 @@ def gram_covariance_check(constraints: Sequence[Constraint], point: ChartPoint) 
     return float(np.abs(metric_side - hilbert_side).max())
 
 
-def two_constraint_determinant(gram: GramMatrix):
-    """Determinant decomposition det M = (1 - rho^2) var(A) var(B).
+def two_constraint_determinant(m: np.ndarray):
+    """Determinant decomposition det M = (1 - rho^2) var(A) var(B) of a
+    2 x 2 Gram matrix.
 
     Returns (delta, rho) with rho the correlation of the two constrained
     quantities; |rho| = 1 flags a perfectly (anti)correlated, hence
     redundant, pair.  Raises EigenstateDegenerateError when a variance
     vanishes.
     """
-    if gram.size != 2:
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2):
         raise ValueError("exactly two constraints are required")
-    m = gram.m
     var_a = float(m[0, 0])
     var_b = float(m[1, 1])
     floor = 1e-14 * max(1.0, float(np.abs(m).max()))

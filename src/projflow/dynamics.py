@@ -23,14 +23,14 @@ constraint values back to their initial ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .constraints import Constraint, constraint_frame, resolve_constraints
 from .errors import ChartDomainError, SingularGramError
-from .geometry import ChartPoint, StateVector, chart_from_state, embed, require_interior
+from .geometry import ChartPoint, StateVector, require_interior
 
 PROJECTION_TOL = 1e-10
 
@@ -38,10 +38,10 @@ PROJECTION_TOL = 1e-10
 @dataclass(frozen=True)
 class SpectrumData:
     """Energies E_alpha of a diagonal Hamiltonian and the gaps
-    Omega_nu = E_nu - E_n relative to the last level."""
+    Omega_nu = E_nu - E_n relative to the last level, derived from them."""
 
     energies: np.ndarray
-    gaps: np.ndarray = None
+    gaps: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self):
         energies = np.atleast_1d(np.asarray(self.energies, dtype=float))
@@ -49,11 +49,8 @@ class SpectrumData:
             raise ValueError("a spectrum needs at least two levels")
         if not np.isfinite(energies).all():
             raise ValueError("energies must be finite")
-        gaps = energies[:-1] - energies[-1]
-        if self.gaps is not None and np.abs(np.asarray(self.gaps) - gaps).max() > 1e-15:
-            raise ValueError("supplied gaps are inconsistent with the energies")
         object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "gaps", energies[:-1] - energies[-1])
 
     @property
     def n(self) -> int:
@@ -78,9 +75,6 @@ class HamiltonianFunction:
         grad = np.zeros(2 * m)
         grad[m:] = self.spectrum.gaps
         return grad
-
-    def operator_matrix(self) -> np.ndarray:
-        return np.diag(self.spectrum.energies)
 
     def expectation(self, state: StateVector) -> float:
         amp = state.normalized()
@@ -208,7 +202,7 @@ def integrate(
             if i == newton_max:
                 return None
             frame = constraint_frame(cons, pt)
-            pt = ChartPoint.from_coords(pt.coords() - frame.normals.T @ (frame.gram.m_inv @ residual))
+            pt = ChartPoint.from_coords(pt.coords() - frame.normals.T @ (frame.gram_inv @ residual))
 
     x = x0.coords()
     times = [0.0]
@@ -258,15 +252,3 @@ def integrate(
         energies=np.array(energies),
         exit_flag=flag,
     )
-
-
-def exact_unitary_oracle(system, x0: ChartPoint, t: float) -> ChartPoint:
-    """Independent oracle for the free flow of a diagonal Hamiltonian.
-
-    Evolves the amplitudes by the exact phases e^{-i E_alpha t} and
-    re-extracts the chart point, so p is invariant and
-    q_nu(t) = q_nu(0) + Omega_nu t modulo 2*pi.
-    """
-    amp = embed(x0, system.n).amplitudes
-    evolved = amp * np.exp(-1j * system.spectrum.energies * t)
-    return chart_from_state(StateVector(evolved))

@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import Constraint, ConstraintFrame, constraint_frame, gradient_rows, resolve_constraints
-from .geometry import ChartPoint, geometry_at
+from .constraints import Constraint, ConstraintFrame, constraint_frame, resolve_constraints
+from .geometry import ChartPoint, PointGeometry, geometry_at
 
 EQUIVALENCE_TOL = 1e-8
 # Block vanishing is judged relative to the overall size of tau so the
@@ -62,57 +62,28 @@ class EquivalenceReport:
         }
 
 
-def _frame(point: ChartPoint, system, constraints, frame) -> Optional[ConstraintFrame]:
-    """The given frame, or one built for the resolved constraint set; None
-    for an empty set.  Every diagnostic below takes the point's frame and
-    geometry when the caller has them, as equivalence_report does; a given
-    frame takes the place of the constraints argument."""
-    if frame is None:
-        cons = resolve_constraints(system, constraints)
-        if cons:
-            frame = constraint_frame(cons, point)
-    return frame
-
-
-def mu_tensor(point: ChartPoint, system, constraints=None, frame=None) -> np.ndarray:
-    """mu_bc = M_ij grad_b Phi^i grad_c Phi^j, exactly symmetrised.
-
-    Invariant under invertible linear recombination of the constraint set
-    since M_ij transforms contragrediently.
-    """
-    frame = _frame(point, system, constraints, frame)
-    if frame is None:
-        raise ValueError("at least one constraint is required")
-    return frame.mu
-
-
-def modified_symplectic(point: ChartPoint, system, constraints=None, frame=None, geom=None) -> np.ndarray:
+def modified_symplectic(frame: Optional[ConstraintFrame], geom: PointGeometry) -> np.ndarray:
     """wtilde^{ab} = omega^{ab} - g^{ad} omega^{cb} mu_dc.
 
     Contracting with grad H reproduces the constrained field; with no
-    constraints this is exactly omega^{ab}.
+    constraints (frame None) this is exactly omega^{ab}.
     """
-    if geom is None:
-        geom = geometry_at(point)
-    frame = _frame(point, system, constraints, frame)
     if frame is None:
         return geom.omega_inv.copy()
     return geom.omega_inv - geom.g_inv @ frame.mu @ geom.omega_inv
 
 
-def j_invariance_residual(point: ChartPoint, system, constraints=None, frame=None, geom=None) -> float:
+def j_invariance_residual(frame: ConstraintFrame, geom: PointGeometry) -> float:
     """Max-norm of J^c_a J^d_b mu_cd - mu_ab.
 
     Zero exactly when the metric-projected flow is a Hamiltonian flow for a
     modified symplectic structure with the same Hamiltonian.
     """
-    if geom is None:
-        geom = geometry_at(point)
-    mu = mu_tensor(point, system, constraints, frame)
+    mu = frame.mu
     return float(np.abs(geom.j.T @ mu @ geom.j - mu).max())
 
 
-def single_constraint_orthogonality(point: ChartPoint, system, constraint: Constraint) -> float:
+def single_constraint_orthogonality(point: ChartPoint, constraint: Constraint) -> float:
     """|g^{ab} (J^T grad Phi)_a grad_b Phi|, which vanishes identically.
 
     This orthogonality is what forbids a single constraint from ever
@@ -124,7 +95,7 @@ def single_constraint_orthogonality(point: ChartPoint, system, constraint: Const
     return float(abs((geom.j.T @ grad) @ geom.g_inv @ grad))
 
 
-def tau_analysis(point: ChartPoint, system, constraints=None, frame=None, geom=None):
+def tau_analysis(frame: ConstraintFrame, geom: PointGeometry):
     """Two-constraint tensor tau_ab = grad_a A grad_b B - grad_a B grad_b A
     decomposed into complex type blocks.
 
@@ -136,16 +107,10 @@ def tau_analysis(point: ChartPoint, system, constraints=None, frame=None, geom=N
     with sign in {"plus", "minus", "neither"} judged at relative tolerance
     TAU_BLOCK_RTOL.
     """
-    if frame is None:
-        rows = gradient_rows(resolve_constraints(system, constraints), point)
-    else:
-        rows = frame.rows
-    if len(rows) != 2:
+    if len(frame.rows) != 2:
         raise ValueError("tau analysis needs exactly two constraints")
-    grad_a, grad_b = rows
+    grad_a, grad_b = frame.rows
     tau = np.outer(grad_a, grad_b) - np.outer(grad_b, grad_a)
-    if geom is None:
-        geom = geometry_at(point)
     eye = np.eye(geom.dim)
     proj_pos = 0.5 * (eye - 1j * geom.j.T)
     proj_neg = 0.5 * (eye + 1j * geom.j.T)
@@ -168,19 +133,18 @@ def tau_analysis(point: ChartPoint, system, constraints=None, frame=None, geom=N
     return tau, sign, norms
 
 
-def annihilation_check(point: ChartPoint, system, constraints=None, frame=None, geom=None):
+def annihilation_check(frame: Optional[ConstraintFrame], geom: PointGeometry):
     """Residuals of wtilde acting on the constraint normals.
 
     Returns (right, left): right = max_k |wtilde^{ad} grad_a Phi^k| is an
     algebraic identity and stays at roundoff; left =
     max_k |wtilde^{ad} grad_d Phi^k| vanishes exactly when the
     J-invariance condition holds.  Both are zero for an empty constraint
-    set.
+    set (frame None).
     """
-    frame = _frame(point, system, constraints, frame)
     if frame is None:
         return 0.0, 0.0
-    wtilde = modified_symplectic(point, system, constraints, frame, geom)
+    wtilde = modified_symplectic(frame, geom)
     right = float(np.abs(wtilde.T @ frame.rows.T).max())
     left = float(np.abs(wtilde @ frame.rows.T).max())
     return right, left
@@ -188,15 +152,14 @@ def annihilation_check(point: ChartPoint, system, constraints=None, frame=None, 
 
 def equivalence_report(point: ChartPoint, system, constraints=None) -> EquivalenceReport:
     """Evaluate every diagnostic at one point and render the verdict at
-    EQUIVALENCE_TOL, from one constraint frame and one geometry evaluation."""
+    EQUIVALENCE_TOL, from one geometry evaluation and one constraint frame
+    of the given constraints, or of the system's own when none are given."""
+    cons = resolve_constraints(system, constraints)
     geom = geometry_at(point)
-    frame = _frame(point, system, constraints, None)
-    if frame is None:
-        j_res, right, left, tau_sign = 0.0, 0.0, 0.0, None
-    else:
-        j_res = j_invariance_residual(point, system, constraints, frame, geom)
-        right, left = annihilation_check(point, system, constraints, frame, geom)
-        tau_sign = tau_analysis(point, system, constraints, frame, geom)[1] if len(frame.names) == 2 else None
+    frame = constraint_frame(cons, point) if cons else None
+    j_res = j_invariance_residual(frame, geom) if cons else 0.0
+    right, left = annihilation_check(frame, geom)
+    tau_sign = tau_analysis(frame, geom)[1] if len(cons) == 2 else None
     verdict = "equivalent" if j_res < EQUIVALENCE_TOL else "not_equivalent"
     return EquivalenceReport(
         j_invariance_residual=j_res,

@@ -10,11 +10,6 @@ class DegenerateGeometryError(ChartDomainError):
     margin of the chart boundary, where 1/p entries of g blow up."""
 
 
-class OffSurfaceError(ValueError):
-    """A closed-form field was requested at a point violating the constraint
-    surface on which the formula is valid."""
-
-
 class EigenstateDegenerateError(ValueError):
     """A constraint has zero variance at this state (the state is an
     eigenstate of the constrained observable)."""

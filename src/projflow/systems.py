@@ -14,9 +14,7 @@ On the surface the constrained equations of motion close in the simple form
 
     qdot_1 = Omega_1 - (1 - 2 p_1 - p_2 - p_3) D,
     qdot_2 = Omega_2 + (p_1 + p_3) D,
-    qdot_3 = Omega_3 + (p_1 + p_2) D,       pdot = 0,
-
-which the system's closed-form oracle implements.
+    qdot_3 = Omega_3 + (p_1 + p_2) D,       pdot = 0.
 
 Single spin with conserved sigma_x (n = 2): H(q, p) = 1 - 2p on the Bloch
 sphere with the observable constraint Phi = 2 sqrt(p(1-p)) cos q.  Writing
@@ -38,30 +36,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .constraints import Constraint, algebraic_constraint, observable_constraint
 from .dynamics import HamiltonianFunction, SpectrumData
-from .errors import ChartDomainError, ConfigError, OffSurfaceError, SingularGramError
+from .errors import ChartDomainError, ConfigError
 from .geometry import ChartPoint, StateVector, embed
-
-SURFACE_TOL = 1e-10
-SINGULAR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class SystemDefinition:
-    """A chart system: dimension, spectrum, constraints and (optionally) a
-    closed-form field oracle valid on the constraint surface."""
+    """A chart system: dimension, spectrum, Hamiltonian and constraints."""
 
     name: str
     n: int
     spectrum: SpectrumData
     hamiltonian: HamiltonianFunction
     constraints: Tuple[Constraint, ...]
-    oracle: Optional[Callable[[ChartPoint], np.ndarray]] = None
 
     @property
     def chart_dim(self) -> int:
@@ -73,7 +66,7 @@ class SystemDefinition:
 
 def diagonal_system(n: int, energies, constraints=()) -> SystemDefinition:
     """Generic action-angle system for a diagonal Hamiltonian,
-    H = E_n + sum Omega_nu p_nu.  No closed-form oracle."""
+    H = E_n + sum Omega_nu p_nu."""
     if n < 2:
         raise ValueError("a chart system needs dimension n >= 2")
     energies = np.asarray(energies, dtype=float)
@@ -114,33 +107,11 @@ def _population_product_grad(point: ChartPoint) -> np.ndarray:
 
 
 def two_qubit_product_system(energies=(1.0, 2.0, 3.0, 0.0)) -> SystemDefinition:
-    """Pair of spins constrained to the product submanifold.
-
-    The default energies give gaps Omega = (1, 2, 3).  The oracle evaluates
-    the on-surface closed form and refuses points with
-    |p_1 p_4 - p_2 p_3| > SURFACE_TOL, where its simplification is invalid.
-    """
+    """Pair of spins constrained to the product submanifold; the default
+    energies give gaps Omega = (1, 2, 3)."""
     spectrum = SpectrumData(np.asarray(energies, dtype=float))
     if spectrum.n != 4:
         raise ValueError("the two-qubit system needs exactly four energies")
-    gaps = spectrum.gaps
-
-    def oracle(point: ChartPoint) -> np.ndarray:
-        if abs(_population_product(point)) > SURFACE_TOL:
-            raise OffSurfaceError(
-                "closed-form field is only valid on the surface p1 p4 = p2 p3"
-            )
-        p1, p2, p3 = point.p
-        drive = gaps[0] - gaps[1] - gaps[2]
-        qdot = np.array(
-            [
-                gaps[0] - (1.0 - 2.0 * p1 - p2 - p3) * drive,
-                gaps[1] + (p1 + p3) * drive,
-                gaps[2] + (p1 + p2) * drive,
-            ]
-        )
-        return np.concatenate([qdot, np.zeros(3)])
-
     constraints = (
         algebraic_constraint("phase-sum", _phase_sum, _phase_sum_grad),
         algebraic_constraint("population-product", _population_product, _population_product_grad),
@@ -151,7 +122,6 @@ def two_qubit_product_system(energies=(1.0, 2.0, 3.0, 0.0)) -> SystemDefinition:
         spectrum=spectrum,
         hamiltonian=HamiltonianFunction(spectrum),
         constraints=constraints,
-        oracle=oracle,
     )
 
 
@@ -184,12 +154,6 @@ def product_surface_sample(seed: int) -> ChartPoint:
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def spin_gram_scalar(q: float, p: float) -> float:
-    """Scalar Gram value M = (1-2p)^2 cos^2 q + sin^2 q of the sigma_x
-    constraint on the Bloch chart."""
-    return (1.0 - 2.0 * p) ** 2 * math.cos(q) ** 2 + math.sin(q) ** 2
-
-
 def single_spin_conserved_sx() -> SystemDefinition:
     """Bloch-sphere system with H(q, p) = 1 - 2p and conserved sigma_x.
 
@@ -198,24 +162,12 @@ def single_spin_conserved_sx() -> SystemDefinition:
     Hamiltonian is 1 - 2p.
     """
     spectrum = SpectrumData(np.array([-1.0, 1.0]))
-
-    def oracle(point: ChartPoint) -> np.ndarray:
-        q = float(point.q[0])
-        p = float(point.p[0])
-        m = spin_gram_scalar(q, p)
-        if m < SINGULAR_FLOOR:
-            raise SingularGramError(["sigma-x"], np.inf)
-        qdot = -2.0 * (1.0 - 2.0 * p) ** 2 * math.cos(q) ** 2 / m
-        pdot = 4.0 * (1.0 - 2.0 * p) * (p - 1.0) * p * math.sin(q) * math.cos(q) / m
-        return np.array([qdot, pdot])
-
     return SystemDefinition(
         name="spin-half-sx",
         n=2,
         spectrum=spectrum,
         hamiltonian=HamiltonianFunction(spectrum),
         constraints=(observable_constraint(SIGMA_X, "sigma-x"),),
-        oracle=oracle,
     )
 
 
@@ -235,19 +187,8 @@ class AngularPoint:
         object.__setattr__(self, "phi", float(np.mod(self.phi, 2.0 * math.pi)))
 
 
-def to_angular(point: ChartPoint) -> AngularPoint:
-    """Chart to sphere: p = sin^2(theta/2), q = -phi."""
-    if point.m != 1:
-        raise ValueError("angular coordinates exist only for two-level systems")
-    p = float(point.p[0])
-    if not 0.0 < p < 1.0:
-        raise ChartDomainError("action out of range for the sphere interior")
-    theta = 2.0 * math.asin(math.sqrt(p))
-    return AngularPoint(theta, -float(point.q[0]))
-
-
 def from_angular(angular: AngularPoint) -> ChartPoint:
-    """Sphere to chart, mutual inverse of to_angular (angles mod 2*pi)."""
+    """Sphere to chart: p = sin^2(theta/2), q = -phi (mod 2*pi)."""
     p = math.sin(0.5 * angular.theta) ** 2
     q = float(np.mod(-angular.phi, 2.0 * math.pi))
     return ChartPoint(np.array([q]), np.array([p]))
@@ -259,18 +200,6 @@ def pushforward_to_angular(point: ChartPoint, velocity) -> Tuple[float, float]:
     p = float(point.p[0])
     qdot, pdot = float(velocity[0]), float(velocity[1])
     return pdot / math.sqrt(p * (1.0 - p)), -qdot
-
-
-def angular_oracle_field(angular: AngularPoint) -> Tuple[float, float]:
-    """Closed-form constrained field of the conserved-sigma_x spin system in
-    spherical angles.  Undefined at the two singular fixed points, where the
-    denominator 1 - sin^2 theta cos^2 phi vanishes."""
-    denom = 1.0 - math.sin(angular.theta) ** 2 * math.cos(angular.phi) ** 2
-    if denom < SINGULAR_FLOOR:
-        raise SingularGramError(["sigma-x"], np.inf)
-    thetadot = 0.5 * math.sin(2.0 * angular.theta) * math.sin(2.0 * angular.phi) / denom
-    phidot = 2.0 * math.cos(angular.theta) ** 2 * math.cos(angular.phi) ** 2 / denom
-    return thetadot, phidot
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,21 @@ back through the embedding, a route the library itself no longer takes.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from projflow import ChartPoint, algebraic_constraint, embed, type_decompose
+from projflow import (
+    AngularPoint,
+    ChartDomainError,
+    ChartPoint,
+    StateVector,
+    algebraic_constraint,
+    apply_g_inv,
+    chart_from_state,
+    embed,
+    type_decompose,
+)
 
 
 def embed_jacobian_fd(point, step=1e-6):
@@ -255,3 +266,40 @@ def two_qubit_surface_field(p, gaps):
             0.0,
         ]
     )
+
+
+def exact_unitary_oracle(system, x0, t):
+    """Independent oracle for the free flow of a diagonal Hamiltonian.
+
+    Evolves the amplitudes by the exact phases e^{-i E_alpha t} and
+    re-extracts the chart point, so p is invariant and
+    q_nu(t) = q_nu(0) + Omega_nu t modulo 2*pi.
+    """
+    amp = embed(x0, system.n).amplitudes
+    evolved = amp * np.exp(-1j * system.spectrum.energies * t)
+    return chart_from_state(StateVector(evolved))
+
+
+def to_angular(point):
+    """Chart to sphere, inverse to from_angular: p = sin^2(theta/2), q = -phi."""
+    if point.m != 1:
+        raise ValueError("angular coordinates exist only for two-level systems")
+    p = float(point.p[0])
+    if not 0.0 < p < 1.0:
+        raise ChartDomainError("action out of range for the sphere interior")
+    return AngularPoint(2.0 * math.asin(math.sqrt(p)), -float(point.q[0]))
+
+
+def rows_frame(constraints, point):
+    """Gradient rows, metric normals and symmetrised Gram matrix of a
+    constraint set, assembled as constraint_frame does but with no
+    singularity check and no inverse.
+
+    Stands in for a frame where a diagnostic reads only these fields and
+    the set is degenerate (a duplicated or redundant constraint), so that
+    constraint_frame raises SingularGramError.
+    """
+    rows = np.array([c.gradient(point) for c in constraints], dtype=float)
+    normals = apply_g_inv(point, rows.T).T
+    gram = rows @ normals.T
+    return SimpleNamespace(rows=rows, normals=normals, gram=0.5 * (gram + gram.T))

@@ -13,7 +13,6 @@ from projflow import (
     annihilation_check,
     constrained_field,
     diagonal_system,
-    exact_unitary_oracle,
     from_angular,
     geometry_at,
     integrate,
@@ -32,6 +31,7 @@ from projflow.constraints import gram_covariance_check
 from projflow.systems import AngularPoint
 
 import closedforms as cf
+from conftest import frame_and_geometry
 
 SPIN_SINGULAR = ((0.0, 0.5), (math.pi, 0.5), (2 * math.pi, 0.5))
 
@@ -53,7 +53,7 @@ def test_criterion_01_unconstrained_flow_oracle():
     elapsed = time.perf_counter() - start
     worst = 0.0
     for i in range(len(traj)):
-        ref = exact_unitary_oracle(system, x0, traj.times[i])
+        ref = cf.exact_unitary_oracle(system, x0, traj.times[i])
         worst = max(
             worst,
             float(wrapped_gap(traj.qs[i], ref.q).max()),
@@ -73,7 +73,8 @@ def test_criterion_02_two_qubit_equations_of_motion():
     worst_field = 0.0
     for seed in range(100):
         pt = product_surface_sample(seed)
-        gap = np.abs(constrained_field(pt, system) - system.oracle(pt)).max()
+        closed_form = cf.two_qubit_surface_field(pt.p, system.spectrum.gaps)
+        gap = np.abs(constrained_field(pt, system) - closed_form).max()
         worst_field = max(worst_field, float(gap))
     x0 = product_surface_sample(11)
     traj = integrate(system, x0, 2 * math.pi, 1e-3)
@@ -152,10 +153,11 @@ def test_criterion_05_equivalence_verdicts():
     agree = True
     for seed in range(50):
         pt = product_surface_sample(seed)
-        j_res = j_invariance_residual(pt, two_qubit)
+        frame, geom = frame_and_geometry(pt, two_qubit)
+        j_res = j_invariance_residual(frame, geom)
         worst_surface = max(worst_surface, j_res)
-        _, left = annihilation_check(pt, two_qubit)
-        wt = modified_symplectic(pt, two_qubit)
+        _, left = annihilation_check(frame, geom)
+        wt = modified_symplectic(frame, geom)
         antisym = float(np.abs(wt + wt.T).max())
         agree &= len({j_res < 1e-8, left < 1e-8, antisym < 1e-8}) == 1
     rng = np.random.default_rng(5)
@@ -167,10 +169,11 @@ def test_criterion_05_equivalence_verdicts():
         if min(math.hypot(q - sq, p - sp) for sq, sp in SPIN_SINGULAR) < 1e-2:
             continue
         pt = ChartPoint([q], [p])
-        j_res = j_invariance_residual(pt, spin)
+        frame, geom = frame_and_geometry(pt, spin)
+        j_res = j_invariance_residual(frame, geom)
         least_generic = min(least_generic, j_res)
-        _, left = annihilation_check(pt, spin)
-        wt = modified_symplectic(pt, spin)
+        _, left = annihilation_check(frame, geom)
+        wt = modified_symplectic(frame, geom)
         antisym = float(np.abs(wt + wt.T).max())
         agree &= len({j_res < 1e-8, left < 1e-8, antisym < 1e-8}) == 1
         count += 1
@@ -189,7 +192,7 @@ def test_criterion_06_right_annihilation_identity():
     spin = single_spin_conserved_sx()
     worst = 0.0
     for seed in range(50):
-        right, _ = annihilation_check(product_surface_sample(seed), two_qubit)
+        right, _ = annihilation_check(*frame_and_geometry(product_surface_sample(seed), two_qubit))
         worst = max(worst, right)
     rng = np.random.default_rng(6)
     for _ in range(50):
@@ -197,7 +200,7 @@ def test_criterion_06_right_annihilation_identity():
         p = rng.uniform(0.1, 0.9)
         if min(math.hypot(q - sq, p - sp) for sq, sp in SPIN_SINGULAR) < 1e-2:
             continue
-        right, _ = annihilation_check(ChartPoint([q], [p]), spin)
+        right, _ = annihilation_check(*frame_and_geometry(ChartPoint([q], [p]), spin))
         worst = max(worst, right)
     ok = worst < 1e-10
     report(6, ok, "right annihilation residual max %.3e (tol 1e-10), both systems" % worst)
@@ -226,12 +229,13 @@ def test_criterion_08_holomorphic_tau_structure():
     worst_rel = 0.0
     for seed in range(50):
         pt = product_surface_sample(seed)
-        tau, sign, norms = tau_analysis(pt, system)
+        tau, sign, norms = tau_analysis(*frame_and_geometry(pt, system))
         scale = float(np.abs(tau).max())
         worst_rel = max(worst_rel, max(norms["pos_pos"], norms["neg_neg"]) / scale)
         assert sign == "plus", "expected plus-type tau on the product surface"
     c = system.constraints[0]
-    tau_deg, _, _ = tau_analysis(product_surface_sample(0), system, (c, c))
+    pt = product_surface_sample(0)
+    tau_deg, _, _ = tau_analysis(cf.rows_frame((c, c), pt), geometry_at(pt))
     degenerate_zero = bool(np.array_equal(tau_deg, np.zeros((6, 6))))
     ok = worst_rel < 1e-8 and degenerate_zero
     report(
@@ -282,7 +286,7 @@ def test_criterion_10_rk4_convergence():
 
     def endpoint_error(dt):
         traj = integrate(system4, x0, 2 * math.pi, dt, constraints=())
-        ref = exact_unitary_oracle(system4, x0, traj.times[-1])
+        ref = cf.exact_unitary_oracle(system4, x0, traj.times[-1])
         return max(
             float(wrapped_gap(traj.qs[-1], ref.q).max()),
             float(np.abs(traj.ps[-1] - ref.p).max()),

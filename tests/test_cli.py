@@ -127,7 +127,7 @@ class TestConfigErrors:
 
     def run(self, tmp_path, capsys, command, payload, *flags):
         code = main([command, write_config(tmp_path / "cfg.json", payload), *flags])
-        assert "config error" in capsys.readouterr().err
+        assert "config error:" in capsys.readouterr().err
         return code
 
     @pytest.mark.parametrize("entry", [{"t_end": float("nan")}, {"dt": float("inf")}])
@@ -172,6 +172,38 @@ class TestConfigErrors:
              "constraint-not-object", "observable-not-n-by-n", "n-not-integer"],
     )
     def test_malformed_entries(self, tmp_path, capsys, command, payload):
+        assert self.run(tmp_path, capsys, command, payload) == 2
+
+    @pytest.mark.parametrize(
+        "command, entry",
+        [
+            ("simulate", {"projection": "false"}),
+            ("simulate", {"projection": 0}),
+            ("simulate", {"constraints": "off"}),
+            ("field", {"grid": {"q_count": 2.7}}),
+            ("field", {"grid": {"p_count": True}}),
+            ("field", {"grid": {"q_min": True}}),
+            ("field", {"grid": {"p_max": "0.9"}}),
+            ("check", {"index": 1.9}),
+            ("check", {"index": True}),
+        ],
+        ids=["projection-string", "projection-integer", "constraints-off", "count-fractional",
+             "count-boolean", "axis-min-boolean", "axis-max-string", "index-fractional", "index-boolean"],
+    )
+    def test_bad_values(self, tmp_path, capsys, command, entry):
+        # each of these used to be coerced and run with exit 0
+        out = str(tmp_path / "out.csv")
+        if command == "simulate":
+            payload = {"system": {"name": "spin-half-sx"}, "initial_point": {"q": [0.9], "p": [0.3]},
+                       "t_end": 0.2, "dt": 0.1, "output_path": out, **entry}
+        elif command == "field":
+            grid = {"kind": "chart", "q_min": 0.5, "q_max": 1.5, "q_count": 3,
+                    "p_min": 0.2, "p_max": 0.8, "p_count": 3, **entry["grid"]}
+            payload = {"system": {"name": "spin-half-sx"}, "grid": grid, "output_path": out}
+        else:
+            population = {"kind": "population", **entry}
+            payload = {"system": {"name": "diagonal", "n": 3, "energies": [1.0, 0.5, 0.0],
+                                  "constraints": [population]}, "num_points": 2}
         assert self.run(tmp_path, capsys, command, payload) == 2
 
     def test_constraints_on_named_system(self, tmp_path, capsys):

@@ -8,12 +8,12 @@ from projflow import (
     SingularGramError,
     StateVector,
     algebraic_constraint,
+    constraint_frame,
     constrained_field,
     covariance_matrix,
     diagonal_system,
     embed,
     finite_difference_gradient,
-    geometry_at,
     gram_covariance_check,
     gram_matrix,
     observable_constraint,
@@ -62,24 +62,24 @@ class TestConstraint:
 class TestGramMatrix:
     def test_two_qubit_center(self, two_qubit):
         pt = ChartPoint([0.7, 0.4, 0.3], [0.25, 0.25, 0.25])
-        gram = gram_matrix(two_qubit.constraints, pt)
-        assert_allclose(gram.m, np.diag([4.0, 1.0 / 16.0]), atol=1e-12)
-        assert_allclose(gram.m_inv @ gram.m, np.eye(2), atol=1e-12)
+        frame = constraint_frame(two_qubit.constraints, pt)
+        assert_allclose(frame.gram, np.diag([4.0, 1.0 / 16.0]), atol=1e-12)
+        assert_allclose(frame.gram_inv @ frame.gram, np.eye(2), atol=1e-12)
 
     def test_two_qubit_closed_form(self, two_qubit, rng):
         for _ in range(5):
             pt = sample_interior_point(rng, 3)
             gram = gram_matrix(two_qubit.constraints, pt)
             m11, m22 = cf.gram_diag_two_qubit(pt.p)
-            assert_allclose(np.diag(gram.m), [m11, m22], rtol=1e-10)
-            assert abs(gram.m[0, 1]) < 1e-12
+            assert_allclose(np.diag(gram), [m11, m22], rtol=1e-10)
+            assert abs(gram[0, 1]) < 1e-12
 
     def test_spin_closed_form(self, spin):
         for q, p in [(np.pi / 2, 0.3), (0.8, 0.6), (2.4, 0.15)]:
             gram = gram_matrix(spin.constraints, ChartPoint([q], [p]))
-            assert gram.m[0, 0] == pytest.approx(cf.spin_gram(q, p), abs=1e-12)
+            assert gram[0, 0] == pytest.approx(cf.spin_gram(q, p), abs=1e-12)
         gram = gram_matrix(spin.constraints, ChartPoint([np.pi / 2], [0.3]))
-        assert gram.m[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert gram[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_duplicate_constraints_singular(self, spin, rng):
         pt = sample_interior_point(rng, 1)
@@ -87,23 +87,17 @@ class TestGramMatrix:
         with pytest.raises(SingularGramError) as info:
             gram_matrix(pair, pt)
         assert "sigma-x" in str(info.value)
-
-    def test_non_strict_returns_without_inverse(self, spin, rng):
-        pt = sample_interior_point(rng, 1)
-        pair = (spin.constraints[0], spin.constraints[0])
-        gram = gram_matrix(pair, pt, strict=False)
-        assert gram.m_inv is None
-        assert gram.condition_number > 1e12
+        assert info.value.condition_number > 1e12
 
     def test_positive_semidefinite(self, two_qubit, rng):
         for _ in range(10):
             gram = gram_matrix(two_qubit.constraints, sample_interior_point(rng, 3))
-            assert np.linalg.eigvalsh(gram.m).min() > -1e-12
+            assert np.linalg.eigvalsh(gram).min() > -1e-12
 
     def test_reorder_is_exact_permutation(self, two_qubit, rng):
         pt = sample_interior_point(rng, 3)
-        forward = gram_matrix(two_qubit.constraints, pt).m
-        swapped = gram_matrix(two_qubit.constraints[::-1], pt).m
+        forward = gram_matrix(two_qubit.constraints, pt)
+        swapped = gram_matrix(two_qubit.constraints[::-1], pt)
         perm = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert np.array_equal(swapped, perm @ forward @ perm.T)
 
@@ -118,8 +112,8 @@ class TestGramMatrix:
             ),
             base[1],
         )
-        m0 = gram_matrix(base, pt).m
-        m1 = gram_matrix(scaled, pt).m
+        m0 = gram_matrix(base, pt)
+        m1 = gram_matrix(scaled, pt)
         # doubling is an exponent shift, exact in floating point
         assert np.array_equal(m1[0, 0], 4.0 * m0[0, 0])
         assert np.array_equal(m1[0, 1], 2.0 * m0[0, 1])
@@ -199,8 +193,7 @@ class TestTwoConstraintDeterminant:
         doubled = algebraic_constraint(
             "2*sigma-x", lambda p: 2.0 * base.fn(p), lambda p: 2.0 * base.gradient(p)
         )
-        gram = gram_matrix((base, doubled), pt, strict=False)
-        delta, rho = two_constraint_determinant(gram)
+        delta, rho = two_constraint_determinant(cf.rows_frame((base, doubled), pt).gram)
         assert rho == pytest.approx(1.0, abs=1e-12)
         assert abs(delta) < 1e-12
 
@@ -210,7 +203,7 @@ class TestTwoConstraintDeterminant:
         negated = algebraic_constraint(
             "-sigma-x", lambda p: -base.fn(p), lambda p: -base.gradient(p)
         )
-        _, rho = two_constraint_determinant(gram_matrix((base, negated), pt, strict=False))
+        _, rho = two_constraint_determinant(cf.rows_frame((base, negated), pt).gram)
         assert rho == pytest.approx(-1.0, abs=1e-12)
 
     def test_independent_pair(self, two_qubit):
@@ -224,12 +217,12 @@ class TestTwoConstraintDeterminant:
         pt = sample_interior_point(rng, 3)
         gram = gram_matrix(two_qubit.constraints, pt)
         delta, _ = two_constraint_determinant(gram)
-        assert delta == pytest.approx(np.linalg.det(gram.m), abs=1e-12)
+        assert delta == pytest.approx(np.linalg.det(gram), abs=1e-12)
 
     def test_zero_variance_rejected(self, spin, rng):
         pt = sample_interior_point(rng, 1)
         constant = algebraic_constraint("const", lambda p: 1.0, lambda p: np.zeros(2))
-        gram = gram_matrix((spin.constraints[0], constant), pt, strict=False)
+        gram = cf.rows_frame((spin.constraints[0], constant), pt).gram
         with pytest.raises(EigenstateDegenerateError):
             two_constraint_determinant(gram)
 
@@ -247,7 +240,8 @@ def test_vanishing_gradient_is_singular(rng):
 
 
 def test_condition_number_reported(two_qubit, rng):
-    gram = gram_matrix(two_qubit.constraints, sample_interior_point(rng, 3))
-    assert gram.condition_number >= 1.0
-    assert np.isfinite(gram.condition_number)
-    assert np.array_equal(gram.m, gram.m.T)  # symmetric as constructed
+    frame = constraint_frame(two_qubit.constraints, sample_interior_point(rng, 3))
+    assert frame.condition_number >= 1.0
+    assert np.isfinite(frame.condition_number)
+    assert np.array_equal(frame.gram, frame.gram.T)  # symmetric as constructed
+    assert np.array_equal(frame.gram_inv, frame.gram_inv.T)

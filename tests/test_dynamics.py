@@ -12,7 +12,6 @@ from projflow import (
     constrained_field,
     diagonal_system,
     embed,
-    exact_unitary_oracle,
     integrate,
     multipliers,
     product_surface_sample,
@@ -32,10 +31,6 @@ class TestSpectrum:
     def test_gaps(self):
         spec = SpectrumData([1.0, 2.0, 3.0, 0.0])
         assert_allclose(spec.gaps, [1.0, 2.0, 3.0])
-
-    def test_inconsistent_gaps_rejected(self):
-        with pytest.raises(ValueError):
-            SpectrumData([1.0, 0.0], gaps=[2.0])
 
     def test_hamiltonian_matches_expectation(self, rng):
         ham = HamiltonianFunction(SpectrumData([0.3, -1.2, 2.0, 0.7]))
@@ -115,7 +110,7 @@ class TestMultipliers:
         rows = gradient_rows(two_qubit.constraints, pt)
         free = geom.omega_inv @ two_qubit.hamiltonian.gradient(pt)
         assembled = free - geom.g_inv @ (rows.T @ lam)
-        assert_allclose(assembled, two_qubit.oracle(pt), atol=1e-12)
+        assert_allclose(assembled, cf.two_qubit_surface_field(pt.p, two_qubit.spectrum.gaps), atol=1e-12)
 
     def test_empty_constraints(self, rng):
         system = diagonal_system(3, [1.0, 2.0, 0.0])
@@ -161,7 +156,7 @@ class TestIntegrate:
         assert traj.exit_flag == "completed"
         worst = 0.0
         for i in range(0, len(traj), 100):
-            ref = exact_unitary_oracle(system, x0, traj.times[i])
+            ref = cf.exact_unitary_oracle(system, x0, traj.times[i])
             worst = max(
                 worst,
                 wrapped_gap(traj.qs[i], ref.q).max(),
@@ -268,20 +263,20 @@ class TestUnitaryOracle:
     def test_time_zero_identity(self, rng):
         system = diagonal_system(3, [0.4, -0.3, 1.1])
         x0 = sample_interior_point(rng, 2)
-        out = exact_unitary_oracle(system, x0, 0.0)
+        out = cf.exact_unitary_oracle(system, x0, 0.0)
         assert_allclose(out.q, np.mod(x0.q, 2 * np.pi), atol=1e-14)
         assert_allclose(out.p, x0.p, atol=1e-15)
 
     def test_two_level_full_turn(self):
         system = diagonal_system(2, [-1.0, 1.0])  # gap -2
-        out = exact_unitary_oracle(system, ChartPoint([0.4], [0.3]), np.pi)
+        out = cf.exact_unitary_oracle(system, ChartPoint([0.4], [0.3]), np.pi)
         assert wrapped_gap(out.q, np.array([0.4])).max() < 1e-12
         assert_allclose(out.p, [0.3], atol=1e-15)
 
     def test_four_level_quarter_turn(self):
         system = diagonal_system(4, [1.0, 2.0, 3.0, 0.0])
         x0 = ChartPoint([0.0, 0.0, 0.0], [0.2, 0.3, 0.1])
-        out = exact_unitary_oracle(system, x0, np.pi / 2)
+        out = cf.exact_unitary_oracle(system, x0, np.pi / 2)
         assert wrapped_gap(out.q, np.array([np.pi / 2, np.pi, 3 * np.pi / 2])).max() < 1e-12
 
 

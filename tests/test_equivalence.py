@@ -7,19 +7,19 @@ from projflow import (
     algebraic_constraint,
     annihilation_check,
     constrained_field,
+    constraint_frame,
     diagonal_system,
     equivalence_report,
     geometry_at,
     j_invariance_residual,
     modified_symplectic,
-    mu_tensor,
     product_surface_sample,
     sample_interior_point,
     single_constraint_orthogonality,
     tau_analysis,
 )
 import closedforms as cf
-from conftest import spin_grid
+from conftest import frame_and_geometry, spin_grid
 
 
 def p_coordinate_constraint(index, dim):
@@ -35,7 +35,7 @@ def p_coordinate_constraint(index, dim):
 class TestMuTensor:
     def test_single_constraint_outer_product(self, spin, rng):
         pt = sample_interior_point(rng, 1)
-        mu = mu_tensor(pt, spin)
+        mu = constraint_frame(spin.constraints, pt).mu
         grad = spin.constraints[0].gradient(pt)
         geom = geometry_at(pt)
         m_scalar = grad @ geom.g_inv @ grad
@@ -47,7 +47,9 @@ class TestMuTensor:
         doubled = algebraic_constraint(
             "2phi", lambda p: 2.0 * base.fn(p), lambda p: 2.0 * base.gradient(p)
         )
-        assert_allclose(mu_tensor(pt, spin, (doubled,)), mu_tensor(pt, spin), atol=1e-12)
+        assert_allclose(
+            constraint_frame((doubled,), pt).mu, constraint_frame((base,), pt).mu, atol=1e-12
+        )
 
     def test_linear_recombination_invariance(self, two_qubit, rng):
         pt = product_surface_sample(31)
@@ -65,43 +67,43 @@ class TestMuTensor:
             ),
         )
         assert np.abs(
-            mu_tensor(pt, two_qubit, mix) - mu_tensor(pt, two_qubit)
+            constraint_frame(mix, pt).mu - constraint_frame(base, pt).mu
         ).max() < 1e-10
 
     def test_two_qubit_center_brute_force(self, two_qubit):
         pt = ChartPoint([0.8, 0.3, 0.5], [0.25, 0.25, 0.25])
         rows = np.array([c.gradient(pt) for c in two_qubit.constraints])
         expected = rows.T @ np.diag([0.25, 16.0]) @ rows
-        assert_allclose(mu_tensor(pt, two_qubit), expected, atol=1e-12)
+        assert_allclose(constraint_frame(two_qubit.constraints, pt).mu, expected, atol=1e-12)
 
     def test_symmetric(self, two_qubit):
-        mu = mu_tensor(product_surface_sample(2), two_qubit)
+        mu = constraint_frame(two_qubit.constraints, product_surface_sample(2)).mu
         assert np.array_equal(mu, mu.T)
 
 
 class TestModifiedSymplectic:
     def test_no_constraints_identity(self, rng):
         system = diagonal_system(3, [1.0, 2.0, 0.0])
-        pt = sample_interior_point(rng, 2)
-        geom = geometry_at(pt)
-        assert np.array_equal(modified_symplectic(pt, system, ()), geom.omega_inv)
+        frame, geom = frame_and_geometry(sample_interior_point(rng, 2), system, ())
+        assert frame is None
+        assert np.array_equal(modified_symplectic(frame, geom), geom.omega_inv)
 
     def test_two_qubit_antisymmetric_on_surface(self, two_qubit):
         for seed in range(5):
-            wt = modified_symplectic(product_surface_sample(seed), two_qubit)
+            wt = modified_symplectic(*frame_and_geometry(product_surface_sample(seed), two_qubit))
             assert np.abs(wt + wt.T).max() < 1e-10
 
     def test_spin_not_antisymmetric(self, spin):
-        wt = modified_symplectic(ChartPoint([1.1], [0.33]), spin)
+        wt = modified_symplectic(*frame_and_geometry(ChartPoint([1.1], [0.33]), spin))
         assert np.abs(wt + wt.T).max() > 0.01
 
     def test_reproduces_constrained_field(self, two_qubit, spin, rng):
         pt = product_surface_sample(7)
-        wt = modified_symplectic(pt, two_qubit)
+        wt = modified_symplectic(*frame_and_geometry(pt, two_qubit))
         grad_h = two_qubit.hamiltonian.gradient(pt)
         assert_allclose(wt @ grad_h, constrained_field(pt, two_qubit), atol=1e-10)
         pt = sample_interior_point(rng, 1)
-        wt = modified_symplectic(pt, spin)
+        wt = modified_symplectic(*frame_and_geometry(pt, spin))
         grad_h = spin.hamiltonian.gradient(pt)
         assert_allclose(wt @ grad_h, constrained_field(pt, spin), atol=1e-10)
 
@@ -109,43 +111,41 @@ class TestModifiedSymplectic:
 class TestJInvariance:
     def test_two_qubit_on_surface(self, two_qubit):
         for seed in range(10):
-            assert j_invariance_residual(product_surface_sample(seed), two_qubit) < 1e-8
+            assert j_invariance_residual(*frame_and_geometry(product_surface_sample(seed), two_qubit)) < 1e-8
 
     def test_spin_generic_points(self, spin):
         for pt in spin_grid(exclusion=1e-2, nq=9, np_=7):
-            assert j_invariance_residual(pt, spin) > 0.01
+            assert j_invariance_residual(*frame_and_geometry(pt, spin)) > 0.01
 
     def test_single_constraint_bounded_below(self, spin, rng):
         # empirical floor on the standard test grid: the residual never
         # drops under a fixed fraction of the mu scale
         for pt in spin_grid(exclusion=1e-2, nq=9, np_=7):
-            res = j_invariance_residual(pt, spin)
-            mu = mu_tensor(pt, spin)
-            assert res >= 0.25 * np.abs(mu).max()
+            frame, geom = frame_and_geometry(pt, spin)
+            assert j_invariance_residual(frame, geom) >= 0.25 * np.abs(frame.mu).max()
         c = p_coordinate_constraint(0, 3)
         system = diagonal_system(4, [1.0, 2.0, 3.0, 0.0], (c,))
         for _ in range(10):
             pt = sample_interior_point(rng, 3)
-            res = j_invariance_residual(pt, system)
-            assert res >= 0.25 * np.abs(mu_tensor(pt, system)).max()
+            frame, geom = frame_and_geometry(pt, system)
+            assert j_invariance_residual(frame, geom) >= 0.25 * np.abs(frame.mu).max()
 
 
 class TestOrthogonality:
     def test_spin_generic(self, spin, rng):
         for _ in range(10):
             pt = sample_interior_point(rng, 1)
-            assert single_constraint_orthogonality(pt, spin, spin.constraints[0]) < 1e-12
+            assert single_constraint_orthogonality(pt, spin.constraints[0]) < 1e-12
 
     def test_constant_constraint(self, spin, rng):
         constant = algebraic_constraint("const", lambda p: 1.0, lambda p: np.zeros(2))
         pt = sample_interior_point(rng, 1)
-        assert single_constraint_orthogonality(pt, spin, constant) == 0.0
+        assert single_constraint_orthogonality(pt, constant) == 0.0
 
     def test_population_constraint_four_level(self, rng):
         c = p_coordinate_constraint(0, 3)
-        system = diagonal_system(4, [1.0, 2.0, 3.0, 0.0], (c,))
         pt = sample_interior_point(rng, 3)
-        assert single_constraint_orthogonality(pt, system, c) < 1e-12
+        assert single_constraint_orthogonality(pt, c) < 1e-12
 
 
 class TestTauAnalysis:
@@ -154,7 +154,7 @@ class TestTauAnalysis:
         # imaginary parts of one holomorphic constraint: pure-type blocks
         # vanish and the plus-sign condition holds
         for seed in range(10):
-            tau, sign, norms = tau_analysis(product_surface_sample(seed), two_qubit)
+            tau, sign, norms = tau_analysis(*frame_and_geometry(product_surface_sample(seed), two_qubit))
             scale = np.abs(tau).max()
             assert sign == "plus"
             assert max(norms["pos_pos"], norms["neg_neg"]) < 1e-8 * scale
@@ -163,14 +163,14 @@ class TestTauAnalysis:
     def test_degenerate_pair_vanishes(self, two_qubit, rng):
         pt = product_surface_sample(3)
         c = two_qubit.constraints[0]
-        tau, _, _ = tau_analysis(pt, two_qubit, (c, c))
+        tau, _, _ = tau_analysis(cf.rows_frame((c, c), pt), geometry_at(pt))
         assert np.array_equal(tau, np.zeros((6, 6)))
 
     def test_population_pair_neither(self, rng):
         cons = (p_coordinate_constraint(0, 3), p_coordinate_constraint(1, 3))
         system = diagonal_system(4, [1.0, 2.0, 3.0, 0.0], cons)
         pt = sample_interior_point(rng, 3)
-        tau, sign, norms = tau_analysis(pt, system)
+        tau, sign, norms = tau_analysis(*frame_and_geometry(pt, system))
         assert sign == "neither"
         scale = np.abs(tau).max()
         assert min(norms.values()) > 0.01 * scale
@@ -181,35 +181,36 @@ class TestTauAnalysis:
             (two_qubit, product_surface_sample(4)),
             (two_qubit, sample_interior_point(rng, 3)),
         ]:
-            geom = geometry_at(pt)
+            frame, geom = frame_and_geometry(pt, system)
             grad_a = system.constraints[0].gradient(pt)
             grad_b = system.constraints[1].gradient(pt)
-            _, _, norms = tau_analysis(pt, system)
+            _, _, norms = tau_analysis(frame, geom)
             brute = cf.decompose_tau_blocks(grad_a, grad_b, geom)
             for key, block in brute.items():
                 assert norms[key] == pytest.approx(np.abs(block).max(), abs=1e-12)
 
     def test_wrong_count_rejected(self, spin, rng):
         with pytest.raises(ValueError):
-            tau_analysis(sample_interior_point(rng, 1), spin)
+            tau_analysis(*frame_and_geometry(sample_interior_point(rng, 1), spin))
 
 
 class TestAnnihilation:
     def test_two_qubit(self, two_qubit):
         for seed in range(10):
-            right, left = annihilation_check(product_surface_sample(seed), two_qubit)
+            right, left = annihilation_check(*frame_and_geometry(product_surface_sample(seed), two_qubit))
             assert right < 1e-10
             assert left < 1e-8
 
     def test_spin(self, spin):
         for pt in spin_grid(exclusion=1e-2, nq=7, np_=5):
-            right, left = annihilation_check(pt, spin)
+            right, left = annihilation_check(*frame_and_geometry(pt, spin))
             assert right < 1e-10
             assert left > 0.01
 
     def test_empty_constraints(self, rng):
         system = diagonal_system(3, [1.0, 2.0, 0.0])
-        assert annihilation_check(sample_interior_point(rng, 2), system, ()) == (0.0, 0.0)
+        frame, geom = frame_and_geometry(sample_interior_point(rng, 2), system, ())
+        assert annihilation_check(frame, geom) == (0.0, 0.0)
 
 
 class TestCriteriaAgreement:
@@ -217,9 +218,10 @@ class TestCriteriaAgreement:
         cases = [(two_qubit, product_surface_sample(s)) for s in range(5)]
         cases += [(spin, pt) for pt in spin_grid(exclusion=1e-2, nq=5, np_=3)]
         for system, pt in cases:
-            j_res = j_invariance_residual(pt, system)
-            _, left = annihilation_check(pt, system)
-            wt = modified_symplectic(pt, system)
+            frame, geom = frame_and_geometry(pt, system)
+            j_res = j_invariance_residual(frame, geom)
+            _, left = annihilation_check(frame, geom)
+            wt = modified_symplectic(frame, geom)
             antisym = np.abs(wt + wt.T).max()
             flags = (j_res < 1e-8, left < 1e-8, antisym < 1e-8)
             assert len(set(flags)) == 1
@@ -235,6 +237,16 @@ class TestReport:
         rep = equivalence_report(ChartPoint([1.1], [0.33]), spin)
         assert rep.verdict == "not_equivalent"
         assert rep.tau_sign is None
+
+    def test_empty_constraint_set_reports_zeros(self, spin):
+        rep = equivalence_report(ChartPoint([1.1], [0.33]), spin, ())
+        assert rep.to_dict() == {
+            "j_invariance_residual": 0.0,
+            "right_annihilation_residual": 0.0,
+            "left_annihilation_residual": 0.0,
+            "tau_sign": None,
+            "verdict": "equivalent",
+        }
 
     def test_dict_round_trip(self, spin):
         rep = equivalence_report(ChartPoint([1.1], [0.33]), spin)

@@ -6,9 +6,7 @@ from projflow import (
     AngularPoint,
     ChartDomainError,
     ChartPoint,
-    OffSurfaceError,
     SingularGramError,
-    angular_oracle_field,
     constrained_field,
     diagonal_system,
     embed,
@@ -19,7 +17,6 @@ from projflow import (
     pushforward_to_angular,
     sample_interior_point,
     system_from_name,
-    to_angular,
 )
 
 import closedforms as cf
@@ -28,34 +25,27 @@ import closedforms as cf
 class TestTwoQubitSystem:
     def test_oracle_center(self, two_qubit):
         pt = ChartPoint([0.4, 0.1, 0.3], [0.25, 0.25, 0.25])
-        assert_allclose(two_qubit.oracle(pt), [1, 0, 1, 0, 0, 0], atol=1e-15)
-
-    def test_oracle_matches_closed_form(self, two_qubit):
-        for seed in range(20):
-            pt = product_surface_sample(seed)
-            assert_allclose(
-                two_qubit.oracle(pt),
-                cf.two_qubit_surface_field(pt.p, two_qubit.spectrum.gaps),
-                atol=1e-14,
-            )
-
-    def test_oracle_refuses_off_surface(self, two_qubit):
-        with pytest.raises(OffSurfaceError):
-            two_qubit.oracle(ChartPoint([0.0, 0.0, 0.0], [0.3, 0.25, 0.25]))
+        assert_allclose(
+            cf.two_qubit_surface_field(pt.p, two_qubit.spectrum.gaps), [1, 0, 1, 0, 0, 0], atol=1e-15
+        )
 
     def test_presimplified_form_agrees_on_surface(self, two_qubit):
         for seed in range(20):
             pt = product_surface_sample(seed)
             assert_allclose(
                 cf.two_qubit_field_presimplified(pt, two_qubit.spectrum),
-                two_qubit.oracle(pt),
+                cf.two_qubit_surface_field(pt.p, two_qubit.spectrum.gaps),
                 atol=1e-12,
             )
 
     def test_field_matches_oracle_on_surface(self, two_qubit):
         for seed in range(25):
             pt = product_surface_sample(seed)
-            assert_allclose(constrained_field(pt, two_qubit), two_qubit.oracle(pt), atol=1e-10)
+            assert_allclose(
+                constrained_field(pt, two_qubit),
+                cf.two_qubit_surface_field(pt.p, two_qubit.spectrum.gaps),
+                atol=1e-10,
+            )
 
     def test_custom_energies(self):
         system = system_from_name("two-qubit-product", energies=[5.0, 1.0, 2.0, 3.0])
@@ -104,10 +94,10 @@ class TestTrigConstraints:
 
 
 class TestSpinSystem:
-    def test_oracle_values(self, spin):
-        assert_allclose(spin.oracle(ChartPoint([0.0], [0.25])), [-2.0, 0.0], atol=1e-15)
-        assert_allclose(spin.oracle(ChartPoint([np.pi / 2], [0.3])), [0.0, 0.0], atol=1e-15)
-        assert_allclose(spin.oracle(ChartPoint([1.234], [0.5])), [0.0, 0.0], atol=1e-15)
+    def test_oracle_values(self):
+        assert_allclose(cf.spin_field(0.0, 0.25), [-2.0, 0.0], atol=1e-15)
+        assert_allclose(cf.spin_field(np.pi / 2, 0.3), [0.0, 0.0], atol=1e-15)
+        assert_allclose(cf.spin_field(1.234, 0.5), [0.0, 0.0], atol=1e-15)
 
     def test_hamiltonian_is_one_minus_two_p(self, spin, rng):
         pt = sample_interior_point(rng, 1)
@@ -117,25 +107,25 @@ class TestSpinSystem:
         from conftest import spin_grid
 
         for pt in spin_grid(exclusion=1e-3, nq=15, np_=11):
-            assert_allclose(constrained_field(pt, spin), spin.oracle(pt), atol=1e-10)
+            assert_allclose(constrained_field(pt, spin), cf.spin_field(pt.q[0], pt.p[0]), atol=1e-10)
 
     def test_oracle_singular_at_fixed_points(self, spin):
         with pytest.raises(SingularGramError):
-            spin.oracle(ChartPoint([0.0], [0.5]))
+            constrained_field(ChartPoint([0.0], [0.5]), spin)
         with pytest.raises(SingularGramError):
-            spin.oracle(ChartPoint([np.pi], [0.5]))
+            constrained_field(ChartPoint([np.pi], [0.5]), spin)
 
 
 class TestAngularConversion:
     def test_round_trip(self, rng):
         for _ in range(20):
             pt = ChartPoint([rng.uniform(0, 2 * np.pi)], [rng.uniform(0.05, 0.95)])
-            back = from_angular(to_angular(pt))
+            back = from_angular(cf.to_angular(pt))
             assert_allclose(back.q, pt.q, atol=1e-14)
             assert_allclose(back.p, pt.p, atol=1e-14)
 
     def test_identification(self):
-        ang = to_angular(ChartPoint([0.0], [0.5]))
+        ang = cf.to_angular(ChartPoint([0.0], [0.5]))
         assert ang.theta == pytest.approx(np.pi / 2)
         assert ang.phi == pytest.approx(0.0)
 
@@ -144,8 +134,6 @@ class TestAngularConversion:
         assert_allclose(pt.p, [0.5])
         with pytest.raises(SingularGramError):
             constrained_field(pt, spin)
-        with pytest.raises(SingularGramError):
-            angular_oracle_field(AngularPoint(np.pi / 2, 0.0))
 
     def test_poles_rejected(self):
         with pytest.raises(ChartDomainError):
@@ -153,10 +141,10 @@ class TestAngularConversion:
         with pytest.raises(ChartDomainError):
             AngularPoint(np.pi, 1.0)
         with pytest.raises(ValueError):
-            to_angular(ChartPoint([0.0, 0.0, 0.0], [0.2, 0.2, 0.2]))
+            cf.to_angular(ChartPoint([0.0, 0.0, 0.0], [0.2, 0.2, 0.2]))
 
     def test_x_equator_family_is_fixed(self):
-        tdot, pdot = angular_oracle_field(AngularPoint(np.pi / 4, np.pi / 2))
+        tdot, pdot = cf.spin_angular_field(np.pi / 4, np.pi / 2)
         assert tdot == pytest.approx(0.0, abs=1e-15)
         assert pdot == pytest.approx(0.0, abs=1e-15)
 
@@ -164,7 +152,7 @@ class TestAngularConversion:
         from conftest import spin_grid
 
         for pt in spin_grid(exclusion=1e-2, nq=13, np_=9):
-            ang = to_angular(pt)
+            ang = cf.to_angular(pt)
             pushed = pushforward_to_angular(pt, constrained_field(pt, spin))
             assert_allclose(pushed, cf.spin_angular_field(ang.theta, ang.phi), atol=1e-9)
 
@@ -192,9 +180,6 @@ class TestDiagonalSystem:
     def test_energy_count_checked(self):
         with pytest.raises(ValueError):
             diagonal_system(3, [1.0, 2.0])
-
-    def test_no_oracle(self):
-        assert diagonal_system(2, [1.0, 0.0]).oracle is None
 
 
 class TestRegistry:

@@ -89,6 +89,18 @@ class TestGramMatrix:
         assert "sigma-x" in str(info.value)
         assert info.value.condition_number > 1e12
 
+    def test_non_strict_returns_without_inverse(self, spin, rng):
+        # constraint_frame refuses a duplicated pair; the unchecked rows_frame
+        # assembles the same Gram matrix with no inverse, and it is singular
+        pt = sample_interior_point(rng, 1)
+        pair = (spin.constraints[0], spin.constraints[0])
+        with pytest.raises(SingularGramError) as info:
+            constraint_frame(pair, pt)
+        assert info.value.condition_number > 1e12
+        frame = cf.rows_frame(pair, pt)
+        assert not hasattr(frame, "gram_inv")
+        assert np.linalg.cond(frame.gram) > 1e12
+
     def test_positive_semidefinite(self, two_qubit, rng):
         for _ in range(10):
             gram = gram_matrix(two_qubit.constraints, sample_interior_point(rng, 3))

@@ -51,7 +51,6 @@ from .geometry import (
     apply_g_inv,
     chart_from_state,
     embed,
-    embed_jacobian,
     fubini_study_distance,
     geometry_at,
     nijenhuis_residual,
@@ -99,7 +98,6 @@ __all__ = [
     "covariance_matrix",
     "diagonal_system",
     "embed",
-    "embed_jacobian",
     "equivalence_report",
     "finite_difference_gradient",
     "from_angular",

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -80,7 +80,6 @@ def _json_dump(obj, indent=0) -> str:
 class RunConfig:
     command: str
     system: SystemDefinition
-    constraints_active: bool = True
     initial_point: Optional[ChartPoint] = None
     grid: Optional[dict] = None
     points: Optional[list] = None
@@ -98,8 +97,11 @@ def _build_constraint(spec, n: int):
     kind = spec.get("kind")
     if kind == "observable":
         matrix = np.asarray(spec["matrix"], dtype=float)
+        if matrix.shape == (n, n, 2):
+            matrix = matrix[..., 0] + 1j * matrix[..., 1]
         if matrix.shape != (n, n):
-            raise ConfigError("observable matrix must be %d x %d, got shape %s" % (n, n, matrix.shape))
+            raise ConfigError("observable matrix must be %d x %d, or %d x %d of [re, im] pairs, got shape %s"
+                              % (n, n, n, n, matrix.shape))
         return observable_constraint(matrix, spec.get("name", "observable"))
     if kind == "population":
         index = _entry(spec, "index", None, int, "an integer")
@@ -163,11 +165,12 @@ def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunCo
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
-    cfg = RunConfig(command=command, system=system)
     active = raw.get("constraints", "default")
     if active not in ("default", "none"):
         raise ConfigError('constraints must be "default" or "none", got %r' % (active,))
-    cfg.constraints_active = active == "default"
+    if active == "none":
+        system = replace(system, constraints=())
+    cfg = RunConfig(command=command, system=system)
     pairs = system.n - 1
     if raw.get("initial_point") is not None:
         cfg.initial_point = _chart_point(raw["initial_point"], pairs, "initial_point")
@@ -219,13 +222,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError("simulate needs an initial_point")
     if cfg.output_path is None:
         raise ConfigError("simulate needs an output_path")
-    system = cfg.system
-    cons = system.constraints if cfg.constraints_active else ()
     try:
-        traj = integrate(
-            system, cfg.initial_point, cfg.t_end, cfg.dt,
-            constraints=cons, projection=cfg.projection and bool(cons),
-        )
+        traj = integrate(cfg.system, cfg.initial_point, cfg.t_end, cfg.dt, projection=cfg.projection)
     except (ChartDomainError, ValueError) as exc:
         raise ConfigError(str(exc))
 
@@ -234,7 +232,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         ["t"]
         + ["q_%d" % (i + 1) for i in range(m)]
         + ["p_%d" % (i + 1) for i in range(m)]
-        + ["phi_%d" % (i + 1) for i in range(len(cons))]
+        + ["phi_%d" % (i + 1) for i in range(len(cfg.system.constraints))]
         + ["H", "exit_flag"]
     )
     lines = [",".join(header)]
@@ -421,15 +419,13 @@ COMMANDS = {"simulate": cmd_simulate, "field": cmd_field, "check": cmd_check, "v
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="projflow", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("config", help="path to a JSON run configuration")
-        cmd.add_argument("--t-end", type=float, default=None, dest="t_end")
-        cmd.add_argument("--dt", type=float, default=None)
-        cmd.add_argument("--output", default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--no-projection", action="store_true", dest="no_projection")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("config", help="path to a JSON run configuration")
+    parser.add_argument("--t-end", type=float, default=None, dest="t_end")
+    parser.add_argument("--dt", type=float, default=None)
+    parser.add_argument("--output", default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--no-projection", action="store_true", dest="no_projection")
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](load_config(args.config, args.command, args))

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EigenstateDegenerateError, SingularGramError
-from .geometry import ChartPoint, StateVector, apply_g_inv, embed, embed_jacobian
+from .geometry import ChartPoint, StateVector, apply_g_inv, embed
 
 FD_STEP = 1e-6
 # Gram matrices with a worse condition estimate than this, or with a
@@ -89,9 +89,13 @@ def observable_constraint(matrix, name="observable") -> Constraint:
     """Conservation constraint for a Hermitian observable.
 
     The value is the normalised expectation <psi|A|psi>/<psi|psi> through
-    the chart embedding; the gradient is analytic,
+    the chart embedding.  The gradient grad_a Phi = 2 Re <d_a psi|(A - Phi)|psi>
+    is taken in closed form: the chart state psi is normalised with a real
+    last amplitude psi_n = sqrt(p_n), and d_a psi has one entry besides the
+    last, so with r = (A - Phi) psi and c_nu = conj(psi_nu) r_nu,
 
-        grad_a Phi = 2 Re <d_a psi|(A - Phi)|psi> / <psi|psi>.
+        d Phi / d q_nu = -2 Im c_nu,
+        d Phi / d p_nu = Re c_nu / p_nu - Re r_n / sqrt(p_n).
     """
     mat = _check_hermitian(matrix)
     n = mat.shape[0]
@@ -103,11 +107,10 @@ def observable_constraint(matrix, name="observable") -> Constraint:
 
     def gradient(point: ChartPoint) -> np.ndarray:
         amp = embed(point, n).amplitudes
-        dpsi = embed_jacobian(point)
-        nrm = float(np.real(np.vdot(amp, amp)))
-        expectation = float(np.real(np.vdot(amp, mat @ amp))) / nrm
-        residual = mat @ amp - expectation * amp
-        return (2.0 / nrm) * np.real(dpsi.conj() @ residual)
+        acted = mat @ amp
+        residual = acted - np.real(np.vdot(amp, acted)) * amp
+        c = amp[:-1].conj() * residual[:-1]
+        return np.concatenate([-2.0 * c.imag, c.real / point.p - residual[-1].real / amp[-1].real])
 
     return Constraint(name=name, kind="observable", fn=value, grad=gradient, matrix=mat)
 

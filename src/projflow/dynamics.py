@@ -151,7 +151,7 @@ def integrate(
     dt: float,
     *,
     constraints: Optional[Sequence[Constraint]] = None,
-    projection: Optional[bool] = None,
+    projection: bool = True,
     newton_max: int = 5,
 ) -> Trajectory:
     """Fixed-step RK4 integration of the (constrained) flow.
@@ -159,8 +159,8 @@ def integrate(
     Samples are recorded at every accepted step (multiples of dt, with a
     final shorter step landing exactly on t_end); each sample carries the
     raw constraint values and the energy.  Constrained runs preserve the
-    constraint values of the start point: with projection enabled (the
-    default when constraints are present) up to newton_max Newton
+    constraint values of the start point: with projection on (the default;
+    it has no effect without constraints) up to newton_max Newton
     corrections along the metric normals g^{-1} grad Phi pull the values
     back to the initial ones after every step.
 
@@ -177,8 +177,6 @@ def integrate(
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError("t_end must be nonnegative and finite")
     cons = resolve_constraints(system, constraints)
-    if projection is None:
-        projection = bool(cons)
     ham = system.hamiltonian
 
     def field(x: np.ndarray) -> np.ndarray:

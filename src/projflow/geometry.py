@@ -184,30 +184,6 @@ def chart_from_state(state: StateVector) -> ChartPoint:
     return ChartPoint(q, p)
 
 
-def embed_jacobian(point: ChartPoint) -> np.ndarray:
-    """Analytic chart derivatives d_a psi.
-
-    Returns a complex array of shape (2(n-1), n); row a holds the
-    derivative of psi along coordinate a in (q-block, p-block) order:
-
-        d psi^nu / d q_nu = -i sqrt(p_nu) e^{-i q_nu}
-        d psi^nu / d p_nu = e^{-i q_nu} / (2 sqrt(p_nu))
-        d psi^n  / d p_nu = -1 / (2 sqrt(1 - sum p))
-    """
-    m = point.m
-    p_last = 1.0 - point.p.sum()
-    if np.any(point.p <= 0.0) or p_last <= 0.0:
-        raise ChartDomainError("cannot differentiate the embedding outside the chart")
-    phase = np.exp(-1j * point.q)
-    sqrt_p = np.sqrt(point.p)
-    dpsi = np.zeros((2 * m, m + 1), dtype=complex)
-    idx = np.arange(m)
-    dpsi[idx, idx] = -1j * sqrt_p * phase
-    dpsi[m + idx, idx] = 0.5 * phase / sqrt_p
-    dpsi[m + idx, m] = -0.5 / np.sqrt(p_last)
-    return dpsi
-
-
 def require_interior(point: ChartPoint) -> float:
     """Return the residual weight p_n = 1 - sum(p) of a point inside the
     guarded chart.

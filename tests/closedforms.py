@@ -3,7 +3,8 @@ oracles.
 
 The explicit matrices of the worked systems are assembled entry by entry;
 the general-dimension geometry is rebuilt by pulling the Fubini-Study form
-back through the embedding, a route the library itself no longer takes.
+back through the embedding with the full chart Jacobian embed_jacobian, a
+route the library itself no longer takes.
 """
 
 import math
@@ -22,6 +23,30 @@ from projflow import (
     embed,
     type_decompose,
 )
+
+
+def embed_jacobian(point):
+    """Analytic chart derivatives d_a psi.
+
+    Returns a complex array of shape (2(n-1), n); row a holds the
+    derivative of psi along coordinate a in (q-block, p-block) order:
+
+        d psi^nu / d q_nu = -i sqrt(p_nu) e^{-i q_nu}
+        d psi^nu / d p_nu = e^{-i q_nu} / (2 sqrt(p_nu))
+        d psi^n  / d p_nu = -1 / (2 sqrt(1 - sum p))
+    """
+    m = point.m
+    p_last = 1.0 - point.p.sum()
+    if np.any(point.p <= 0.0) or p_last <= 0.0:
+        raise ChartDomainError("cannot differentiate the embedding outside the chart")
+    phase = np.exp(-1j * point.q)
+    sqrt_p = np.sqrt(point.p)
+    dpsi = np.zeros((2 * m, m + 1), dtype=complex)
+    idx = np.arange(m)
+    dpsi[idx, idx] = -1j * sqrt_p * phase
+    dpsi[m + idx, idx] = 0.5 * phase / sqrt_p
+    dpsi[m + idx, m] = -0.5 / np.sqrt(p_last)
+    return dpsi
 
 
 def embed_jacobian_fd(point, step=1e-6):

@@ -1,10 +1,16 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from projflow import ChartPoint, schrodinger_field, single_spin_conserved_sx
 from projflow.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SIGMA_Y = [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
 
 
 def write_config(path, payload):
@@ -111,6 +117,28 @@ class TestSimulate:
         _, rows = read_csv(out)
         assert rows[-1][-1] == "singular"
 
+    def test_complex_observable_conserved(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {
+                "system": {"name": "diagonal", "n": 2, "energies": [-1.0, 1.0],
+                           "constraints": [{"kind": "observable", "matrix": SIGMA_Y}]},
+                "initial_point": {"q": [0.9], "p": [0.3]},
+                "t_end": 1.0,
+                "dt": 1e-2,
+                "output_path": str(out),
+            },
+        )
+        assert main(["simulate", cfg]) == 0
+        header, rows = read_csv(out)
+        table = np.array([[float(row[header.index(k)]) for k in ("q_1", "p_1", "phi_1")] for row in rows])
+        q, p, phi = table.T
+        sy = 2.0 * np.sqrt(p * (1.0 - p)) * np.sin(q)  # <sigma_y> in the chart
+        assert abs(phi[0] - 2.0 * math.sqrt(0.3 * 0.7) * math.sin(0.9)) < 1e-14
+        assert np.abs(phi - phi[0]).max() < 1e-10
+        assert np.abs(sy - sy[0]).max() < 1e-10
+
     def test_unknown_system_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"system": {"name": "bogus"}})
         assert main(["simulate", cfg]) == 2
@@ -167,9 +195,12 @@ class TestConfigErrors:
             ("check", {"system": {"name": "diagonal", "n": 3, "energies": [1.0, 0.5, 0.0],
                                   "constraints": [{"kind": "observable", "matrix": [[0, 1], [1, 0]]}]}}),
             ("check", {"system": {"name": "diagonal", "n": [3], "energies": [1.0, 0.5, 0.0]}}),
+            ("check", {"system": {"name": "diagonal", "n": 2, "energies": [-1.0, 1.0],
+                                  "constraints": [{"kind": "observable",
+                                                   "matrix": [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]}]}}),
         ],
         ids=["point-pairs", "point-outside-chart", "grid-not-object", "constraints-not-list",
-             "constraint-not-object", "observable-not-n-by-n", "n-not-integer"],
+             "constraint-not-object", "observable-not-n-by-n", "n-not-integer", "observable-pairs-not-hermitian"],
     )
     def test_malformed_entries(self, tmp_path, capsys, command, payload):
         assert self.run(tmp_path, capsys, command, payload) == 2
@@ -291,6 +322,18 @@ class TestField:
         assert header[:2] == ["q", "p"]
         assert len(rows) == 20
 
+    def test_constraints_none_writes_free_field(self, tmp_path):
+        out = tmp_path / "free.csv"
+        grid = {"kind": "chart", "q_min": 1.1, "q_max": 1.1, "q_count": 1, "p_min": 0.33, "p_max": 0.33, "p_count": 1}
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"system": {"name": "spin-half-sx"}, "constraints": "none", "grid": grid, "output_path": str(out)},
+        )
+        assert main(["field", cfg]) == 0
+        _, rows = read_csv(out)
+        free = schrodinger_field(ChartPoint([1.1], [0.33]), single_spin_conserved_sx())
+        assert [float(v) for v in rows[0][2:4]] == list(free)
+
     def test_grid_outside_chart_exits_2(self, tmp_path):
         grid = self.sphere_grid()
         grid["theta_max"] = 4.0  # beyond the pole
@@ -342,6 +385,30 @@ class TestCheck:
         assert main(["check", cfg]) == 0
         payload = json.loads(out.read_text())
         assert payload["aggregate"]["verdict"] == "not_equivalent"
+
+    def test_constraints_none_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"system": {"name": "spin-half-sx"}, "constraints": "none", "points": [{"q": [1.1], "p": [0.33]}]},
+        )
+        assert main(["check", cfg]) == 2
+        assert "check needs a system with constraints" in capsys.readouterr().err
+
+    def test_complex_observable_not_equivalent(self, tmp_path):
+        out = tmp_path / "check.json"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {
+                "system": {"name": "diagonal", "n": 2, "energies": [-1.0, 1.0],
+                           "constraints": [{"kind": "observable", "matrix": SIGMA_Y}]},
+                "num_points": 5,
+                "output_path": str(out),
+            },
+        )
+        assert main(["check", cfg]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["aggregate"]["verdict"] == "not_equivalent"
+        assert payload["aggregate"]["points_checked"] == 5
 
     def test_explicit_singular_point_reported(self, tmp_path):
         out = tmp_path / "check.json"
@@ -414,3 +481,36 @@ def test_flag_overrides(tmp_path, surface_start):
     assert main(["simulate", cfg, "--t-end", "0.05", "--no-projection", "--dt", "0.025"]) == 0
     _, rows = read_csv(out)
     assert len(rows) == 3
+    assert main(["--t-end", "0.05", "simulate", cfg]) == 0  # options may precede the command
+    _, rows = read_csv(out)
+    assert len(rows) == 6
+
+
+def test_unknown_command_exits_2(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {"system": {"name": "spin-half-sx"}})
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", cfg])
+    assert exc.value.code == 2
+
+
+def readme_cli_examples():
+    """(command, config) for every json block of the README's CLI section,
+    the command read from the last `projflow <command>` line before it."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## CLI\n"):text.index("\n## Library example\n")]
+    examples = []
+    command = None
+    for match in re.finditer(r"projflow (\w+) \S+\.json|```json\n(.*?)```", section, re.S):
+        if match.group(1):
+            command = match.group(1)
+        else:
+            examples.append((command, json.loads(match.group(2))))
+    return examples
+
+
+@pytest.mark.parametrize("command, config", readme_cli_examples())
+def test_readme_examples_run(tmp_path, command, config):
+    output = tmp_path / Path(config["output_path"]).name
+    flags = ["--t-end", "0.05"] if command == "simulate" else []
+    assert main([command, write_config(tmp_path / "cfg.json", dict(config, output_path=str(output))), *flags]) == 0
+    assert output.exists()

@@ -6,14 +6,13 @@ examples stay reproducible under derandomize.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from projflow import (
     constrained_field,
     constraint_frame,
     diagonal_system,
     embed,
-    embed_jacobian,
     geometry_at,
     gram_covariance_check,
     j_invariance_residual,
@@ -93,9 +92,25 @@ def test_gram_equals_covariance(n, seed):
 @given(st.integers(min_value=1, max_value=12), seeds)
 def test_geometry_matches_pullback(pairs, seed):
     pt = sample_interior_point(np.random.default_rng(seed), pairs)
-    g, big_omega = cf.pullback_tensors(embed(pt).amplitudes, embed_jacobian(pt))
+    g, big_omega = cf.pullback_tensors(embed(pt).amplitudes, cf.embed_jacobian(pt))
     geom = geometry_at(pt)
     for name, reference in (("g", g), ("big_omega", big_omega), ("j", np.linalg.solve(g, big_omega))):
         value = getattr(geom, name)
         assert np.abs(value - reference).max() <= 1e-10 * np.abs(reference).max(), name
     assert np.abs(geom.j @ geom.j + np.eye(2 * pairs)).max() <= 1e-10
+
+
+@examples
+@given(dimensions, seeds)
+@example(64, 64)
+def test_observable_gradient_matches_jacobian_form(n, seed):
+    rng = np.random.default_rng(seed)
+    matrix = hermitian(rng, n)
+    pt = sample_interior_point(rng, n - 1)
+    psi = embed(pt).amplitudes
+    phi = np.real(np.vdot(psi, matrix @ psi))
+    # 2 Re <d_a psi|(A - Phi) psi> through the full chart Jacobian
+    reference = 2.0 * np.real(cf.embed_jacobian(pt).conj() @ (matrix @ psi - phi * psi))
+    gradient = observable_constraint(matrix).gradient(pt)
+    assert np.abs(gradient - reference).max() <= 1e-12 * np.abs(reference).max()
+

@@ -13,6 +13,7 @@ from .constraints import (
     algebraic_constraint,
     constraint_frame,
     covariance_matrix,
+    diagonal_observable,
     finite_difference_gradient,
     gram_covariance_check,
     gram_matrix,
@@ -20,8 +21,6 @@ from .constraints import (
     two_constraint_determinant,
 )
 from .dynamics import (
-    HamiltonianFunction,
-    SpectrumData,
     Trajectory,
     constrained_field,
     integrate,
@@ -49,6 +48,7 @@ from .geometry import (
     PointGeometry,
     StateVector,
     apply_g_inv,
+    canonical_omega,
     chart_from_state,
     embed,
     fubini_study_distance,
@@ -82,20 +82,20 @@ __all__ = [
     "DegenerateGeometryError",
     "EigenstateDegenerateError",
     "EquivalenceReport",
-    "HamiltonianFunction",
     "PointGeometry",
     "SingularGramError",
-    "SpectrumData",
     "StateVector",
     "SystemDefinition",
     "Trajectory",
     "algebraic_constraint",
     "annihilation_check",
     "apply_g_inv",
+    "canonical_omega",
     "chart_from_state",
     "constrained_field",
     "constraint_frame",
     "covariance_matrix",
+    "diagonal_observable",
     "diagonal_system",
     "embed",
     "equivalence_report",

@@ -23,11 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import algebraic_constraint, gram_covariance_check, observable_constraint
+from .constraints import diagonal_observable, gram_covariance_check, observable_constraint
 from .dynamics import constrained_field, integrate
 from .equivalence import equivalence_report
 from .errors import ChartDomainError, ConfigError, SingularGramError
-from .geometry import ChartPoint, geometry_at, nijenhuis_residual, require_interior
+from .geometry import ChartPoint, canonical_omega, geometry_at, nijenhuis_residual, require_interior
 from .systems import (
     AngularPoint,
     SystemDefinition,
@@ -107,13 +107,8 @@ def _build_constraint(spec, n: int):
         index = _entry(spec, "index", None, int, "an integer")
         if not 1 <= index <= n - 1:
             raise ConfigError("population index out of range")
-        grad = np.zeros(2 * (n - 1))
-        grad[(n - 1) + index - 1] = 1.0
-        return algebraic_constraint(
-            spec.get("name", "p%d" % index),
-            lambda pt, i=index - 1: float(pt.p[i]),
-            lambda pt, g=grad: g,
-        )
+        # p_k = <psi|P_k|psi>, the projector on level k
+        return diagonal_observable(np.eye(n)[index - 1], spec.get("name", "p%d" % index))
     raise ConfigError("unknown constraint kind %r" % kind)
 
 
@@ -377,17 +372,18 @@ def cmd_validate(cfg: RunConfig) -> int:
     pairs = system.n - 1
     dim = 2 * pairs
     eye = np.eye(dim)
-    canonical = np.zeros((dim, dim))
-    canonical[:pairs, pairs:] = np.eye(pairs)
-    canonical[pairs:, :pairs] = -np.eye(pairs)
+    canonical = canonical_omega(pairs)
     probes = _probe_observables(system.n)
     table = (
         ("j_squared", VALIDATE_TOL, lambda pt, geom: np.abs(geom.j @ geom.j + eye).max()),
         ("hermitian_metric", VALIDATE_TOL,
          lambda pt, geom: np.abs(geom.j.T @ geom.g @ geom.j - geom.g).max()),
+        # the two-form Omega = g J against its inverse g^{-1} Omega g^{-1},
+        # and omega = Omega / 2 against the canonical form
         ("two_form_inverse", VALIDATE_TOL,
-         lambda pt, geom: np.abs(geom.big_omega_inv @ geom.big_omega.T - eye).max()),
-        ("canonical_symplectic", VALIDATE_TOL, lambda pt, geom: np.abs(geom.omega - canonical).max()),
+         lambda pt, geom: np.abs(geom.g_inv @ (geom.g @ geom.j) @ geom.g_inv @ (geom.g @ geom.j).T - eye).max()),
+        ("canonical_symplectic", VALIDATE_TOL,
+         lambda pt, geom: np.abs(0.5 * geom.g @ geom.j - canonical).max()),
         ("nijenhuis", VALIDATE_NIJENHUIS_TOL, lambda pt, geom: nijenhuis_residual(pt)),
         ("gram_covariance", VALIDATE_TOL, lambda pt, geom: gram_covariance_check(probes, pt)),
     )
@@ -416,17 +412,18 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 COMMANDS = {"simulate": cmd_simulate, "field": cmd_field, "check": cmd_check, "validate": cmd_validate}
 
+PARSER = argparse.ArgumentParser(prog="projflow", description=__doc__)
+PARSER.add_argument("command", choices=COMMANDS)
+PARSER.add_argument("config", help="path to a JSON run configuration")
+PARSER.add_argument("--t-end", type=float, default=None, dest="t_end")
+PARSER.add_argument("--dt", type=float, default=None)
+PARSER.add_argument("--output", default=None)
+PARSER.add_argument("--seed", type=int, default=None)
+PARSER.add_argument("--no-projection", action="store_true", dest="no_projection")
+
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="projflow", description=__doc__)
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("config", help="path to a JSON run configuration")
-    parser.add_argument("--t-end", type=float, default=None, dest="t_end")
-    parser.add_argument("--dt", type=float, default=None)
-    parser.add_argument("--output", default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--no-projection", action="store_true", dest="no_projection")
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return COMMANDS[args.command](load_config(args.config, args.command, args))
     except ConfigError as exc:

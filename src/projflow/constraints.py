@@ -51,6 +51,8 @@ def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("observable must be a square matrix")
+    if not np.isfinite(matrix).all():
+        raise ValueError("observable matrix must be finite")
     scale = max(1.0, float(np.abs(matrix).max()))
     if np.abs(matrix - matrix.conj().T).max() > 1e-12 * scale:
         raise ValueError("observable matrix is not Hermitian")
@@ -61,15 +63,21 @@ def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
 class Constraint:
     """A single real constraint with its gradient.
 
-    kind is "observable" or "algebraic".  When no analytic gradient is
-    supplied the centred finite-difference fallback is used.
+    An observable constraint carries its Hermitian matrix; an algebraic one
+    has none.  When no analytic gradient is supplied the centred
+    finite-difference fallback is used.
     """
 
     name: str
-    kind: str
     fn: Callable[[ChartPoint], float]
     grad: Optional[Callable[[ChartPoint], np.ndarray]] = None
     matrix: Optional[np.ndarray] = None
+
+    @property
+    def kind(self) -> str:
+        """The constraint kind: "observable" exactly when it carries a
+        matrix, "algebraic" otherwise."""
+        return "algebraic" if self.matrix is None else "observable"
 
     def value(self, point: ChartPoint) -> float:
         return float(self.fn(point))
@@ -82,7 +90,7 @@ class Constraint:
 
 def algebraic_constraint(name, fn, grad=None) -> Constraint:
     """Wrap an arbitrary real chart function as a constraint."""
-    return Constraint(name=name, kind="algebraic", fn=fn, grad=grad)
+    return Constraint(name=name, fn=fn, grad=grad)
 
 
 def observable_constraint(matrix, name="observable") -> Constraint:
@@ -112,7 +120,33 @@ def observable_constraint(matrix, name="observable") -> Constraint:
         c = amp[:-1].conj() * residual[:-1]
         return np.concatenate([-2.0 * c.imag, c.real / point.p - residual[-1].real / amp[-1].real])
 
-    return Constraint(name=name, kind="observable", fn=value, grad=gradient, matrix=mat)
+    return Constraint(name=name, fn=value, grad=gradient, matrix=mat)
+
+
+def diagonal_observable(weights, name="observable") -> Constraint:
+    """The observable diag(w) in closed form.
+
+    In the chart its expectation is Phi = w_n + sum_nu (w_nu - w_n) p_nu, so
+    the gradient is constant: zero along the angles, the gaps w_nu - w_n
+    along the actions.  Equal to observable_constraint(np.diag(w)) without
+    its per-point matvec; a unit vector e_k gives the population p_k.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size < 2:
+        raise ValueError("a diagonal observable needs a vector of at least two levels")
+    if not np.isfinite(w).all():
+        raise ValueError("diagonal observable weights must be finite")
+    gaps = w[:-1] - w[-1]
+
+    def value(point: ChartPoint) -> float:
+        return float(w[-1] + gaps @ point.p)
+
+    def gradient(point: ChartPoint) -> np.ndarray:
+        grad = np.zeros(2 * point.m)
+        grad[point.m:] = gaps
+        return grad
+
+    return Constraint(name=name, fn=value, grad=gradient, matrix=np.diag(w))
 
 
 @dataclass(frozen=True)

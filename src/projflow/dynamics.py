@@ -4,9 +4,11 @@ The free flow on the chart is the Hamiltonian vector field
 
     xdot^a = omega^{ab} grad_b H,
 
-with H(x) the normalised expectation of the (diagonal) Hamiltonian
-operator.  Constraints are enforced by removing the metric-normal
-components of the field:
+with H(x) the normalised expectation of the Hamiltonian operator, a
+Constraint read through its value and gradient like any observable
+(constraints.diagonal_observable for the built-in diagonal systems).
+Constraints are enforced by removing the metric-normal components of the
+field:
 
     xdot^a = omega^{ab} grad_b H - lambda_i g^{ab} grad_b Phi^i,
     lambda_i = M_ij omega^{ab} grad_a Phi^j grad_b H,
@@ -23,62 +25,16 @@ constraint values back to their initial ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .constraints import Constraint, constraint_frame, resolve_constraints
 from .errors import ChartDomainError, SingularGramError
-from .geometry import ChartPoint, StateVector, require_interior
+from .geometry import ChartPoint, require_interior
 
 PROJECTION_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SpectrumData:
-    """Energies E_alpha of a diagonal Hamiltonian and the gaps
-    Omega_nu = E_nu - E_n relative to the last level, derived from them."""
-
-    energies: np.ndarray
-    gaps: np.ndarray = dataclass_field(init=False)
-
-    def __post_init__(self):
-        energies = np.atleast_1d(np.asarray(self.energies, dtype=float))
-        if energies.size < 2:
-            raise ValueError("a spectrum needs at least two levels")
-        if not np.isfinite(energies).all():
-            raise ValueError("energies must be finite")
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "gaps", energies[:-1] - energies[-1])
-
-    @property
-    def n(self) -> int:
-        return self.energies.size
-
-
-@dataclass(frozen=True)
-class HamiltonianFunction:
-    """Expectation of a diagonal Hamiltonian as a chart function.
-
-    In action-angle coordinates H(q, p) = E_n + sum_nu Omega_nu p_nu, so the
-    gradient is constant: zero along the angles, the gaps along the actions.
-    """
-
-    spectrum: SpectrumData
-
-    def value(self, point: ChartPoint) -> float:
-        return float(self.spectrum.energies[-1] + self.spectrum.gaps @ point.p)
-
-    def gradient(self, point: ChartPoint) -> np.ndarray:
-        m = point.m
-        grad = np.zeros(2 * m)
-        grad[m:] = self.spectrum.gaps
-        return grad
-
-    def expectation(self, state: StateVector) -> float:
-        amp = state.normalized()
-        return float(np.real(np.vdot(amp, self.spectrum.energies * amp)))
 
 
 @dataclass(frozen=True)
@@ -103,9 +59,6 @@ class Trajectory:
 
     def point(self, i: int) -> ChartPoint:
         return ChartPoint(self.qs[i], self.ps[i])
-
-    def final_point(self) -> ChartPoint:
-        return self.point(len(self) - 1)
 
 
 def schrodinger_field(point: ChartPoint, system) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .constraints import Constraint, ConstraintFrame, constraint_frame, resolve_constraints
-from .geometry import ChartPoint, PointGeometry, geometry_at
+from .geometry import ChartPoint, PointGeometry, canonical_omega, geometry_at
 
 EQUIVALENCE_TOL = 1e-8
 # Block vanishing is judged relative to the overall size of tau so the
@@ -68,9 +68,10 @@ def modified_symplectic(frame: Optional[ConstraintFrame], geom: PointGeometry) -
     Contracting with grad H reproduces the constrained field; with no
     constraints (frame None) this is exactly omega^{ab}.
     """
+    canonical = canonical_omega(geom.dim // 2)
     if frame is None:
-        return geom.omega_inv.copy()
-    return geom.omega_inv - geom.g_inv @ frame.mu @ geom.omega_inv
+        return canonical
+    return canonical - geom.g_inv @ frame.mu @ canonical
 
 
 def j_invariance_residual(frame: ConstraintFrame, geom: PointGeometry) -> float:

@@ -125,30 +125,32 @@ class StateVector:
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """Metric, symplectic and complex structures at a single chart point.
+    """Metric and complex structure at a single chart point.
 
-    g / g_inv:          Fubini-Study metric g_ab and inverse g^ab.
-    omega / omega_inv:  symplectic form omega_ab and its inverse omega^ab,
-                        normalised so omega^{ac} omega_{bc} = delta^a_b.
-    big_omega:          fundamental two-form Omega_ab = 2 omega_ab.
-    j:                  complex structure J^a_b (rows carry the upper index).
+    g / g_inv:  Fubini-Study metric g_ab and inverse g^ab.
+    j:          complex structure J^a_b (rows carry the upper index).
+
+    The fundamental two-form is Omega = g J, and the symplectic form
+    omega = Omega / 2 is the same at every point (canonical_omega).
     """
 
     g: np.ndarray
     g_inv: np.ndarray
-    omega: np.ndarray
-    omega_inv: np.ndarray
-    big_omega: np.ndarray
     j: np.ndarray
-
-    @property
-    def big_omega_inv(self) -> np.ndarray:
-        """Omega^{ab} = g^{ac} g^{db} Omega_cd, inverse to Omega_ab."""
-        return 0.5 * self.omega_inv
 
     @property
     def dim(self) -> int:
         return self.g.shape[0]
+
+
+def canonical_omega(m: int) -> np.ndarray:
+    """The symplectic form omega_ab = [[0, I], [-I, 0]] of a chart with m
+    pairs.  Its inverse omega^{ab}, normalised so that
+    omega^{ac} omega_{bc} = delta^a_b, is the same matrix."""
+    omega = np.zeros((2 * m, 2 * m))
+    omega[:m, m:] = np.eye(m)
+    omega[m:, :m] = -np.eye(m)
+    return omega
 
 
 def embed(point: ChartPoint, n: int | None = None) -> StateVector:
@@ -239,13 +241,10 @@ def geometry_at(point: ChartPoint) -> PointGeometry:
     g_inv[diag, diag] += 0.25 / p
     g_inv[pp] = -np.multiply.outer(p, p)
     g_inv[m + diag, m + diag] += p
-    omega = np.zeros((2 * m, 2 * m))
-    omega[diag, m + diag] = 1.0
-    omega[m + diag, diag] = -1.0
     j = np.zeros((2 * m, 2 * m))
     j[:m, m:] = 2.0 * g_inv[qq]
     j[m:, :m] = -2.0 * g_inv[pp]
-    return PointGeometry(g, g_inv, omega, omega.copy(), 2.0 * omega, j)
+    return PointGeometry(g, g_inv, j)
 
 
 def fubini_study_distance(a: StateVector, b: StateVector) -> float:

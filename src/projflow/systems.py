@@ -40,28 +40,25 @@ from typing import Tuple
 
 import numpy as np
 
-from .constraints import Constraint, algebraic_constraint, observable_constraint
-from .dynamics import HamiltonianFunction, SpectrumData
+from .constraints import Constraint, algebraic_constraint, diagonal_observable, observable_constraint
 from .errors import ChartDomainError, ConfigError
-from .geometry import ChartPoint, StateVector, embed
+from .geometry import ChartPoint
 
 
 @dataclass(frozen=True)
 class SystemDefinition:
-    """A chart system: dimension, spectrum, Hamiltonian and constraints."""
+    """A chart system: dimension, Hamiltonian and constraints.  The
+    Hamiltonian is an observable Constraint, used through its value and
+    gradient."""
 
     name: str
     n: int
-    spectrum: SpectrumData
-    hamiltonian: HamiltonianFunction
+    hamiltonian: Constraint
     constraints: Tuple[Constraint, ...]
 
     @property
     def chart_dim(self) -> int:
         return 2 * (self.n - 1)
-
-    def embed(self, point: ChartPoint) -> StateVector:
-        return embed(point, self.n)
 
 
 def diagonal_system(n: int, energies, constraints=()) -> SystemDefinition:
@@ -72,12 +69,10 @@ def diagonal_system(n: int, energies, constraints=()) -> SystemDefinition:
     energies = np.asarray(energies, dtype=float)
     if energies.size != n:
         raise ValueError("expected %d energies, got %d" % (n, energies.size))
-    spectrum = SpectrumData(energies)
     return SystemDefinition(
         name="diagonal",
         n=n,
-        spectrum=spectrum,
-        hamiltonian=HamiltonianFunction(spectrum),
+        hamiltonian=diagonal_observable(energies, "H"),
         constraints=tuple(constraints),
     )
 
@@ -109,8 +104,8 @@ def _population_product_grad(point: ChartPoint) -> np.ndarray:
 def two_qubit_product_system(energies=(1.0, 2.0, 3.0, 0.0)) -> SystemDefinition:
     """Pair of spins constrained to the product submanifold; the default
     energies give gaps Omega = (1, 2, 3)."""
-    spectrum = SpectrumData(np.asarray(energies, dtype=float))
-    if spectrum.n != 4:
+    hamiltonian = diagonal_observable(energies, "H")
+    if hamiltonian.matrix.shape[0] != 4:
         raise ValueError("the two-qubit system needs exactly four energies")
     constraints = (
         algebraic_constraint("phase-sum", _phase_sum, _phase_sum_grad),
@@ -119,8 +114,7 @@ def two_qubit_product_system(energies=(1.0, 2.0, 3.0, 0.0)) -> SystemDefinition:
     return SystemDefinition(
         name="two-qubit-product",
         n=4,
-        spectrum=spectrum,
-        hamiltonian=HamiltonianFunction(spectrum),
+        hamiltonian=hamiltonian,
         constraints=constraints,
     )
 
@@ -161,12 +155,10 @@ def single_spin_conserved_sx() -> SystemDefinition:
     the last level carries energy +1), so the expectation of the
     Hamiltonian is 1 - 2p.
     """
-    spectrum = SpectrumData(np.array([-1.0, 1.0]))
     return SystemDefinition(
         name="spin-half-sx",
         n=2,
-        spectrum=spectrum,
-        hamiltonian=HamiltonianFunction(spectrum),
+        hamiltonian=diagonal_observable([-1.0, 1.0], "H"),
         constraints=(observable_constraint(SIGMA_X, "sigma-x"),),
     )
 

@@ -108,14 +108,19 @@ def decompose_tau_blocks(grad_a, grad_b, geom):
     }
 
 
-def two_qubit_field_presimplified(point, spectrum):
+def gaps(system):
+    """Omega_nu = E_nu - E_n of a system with a diagonal Hamiltonian."""
+    energies = np.diag(system.hamiltonian.matrix)
+    return energies[:-1] - energies[-1]
+
+
+def two_qubit_field_presimplified(point, gaps):
     """The two-qubit constrained field before the on-surface simplification.
 
     Shares denominators that may vanish away from the constraint surface;
     meaningful as a cross-check against the simplified oracle on-surface.
     """
     p1, p2, p3 = point.p
-    gaps = spectrum.gaps
     drive = gaps[0] - gaps[1] - gaps[2]
     denom = (
         p2 * p3 * (1.0 - p2 - p3)
@@ -301,7 +306,7 @@ def exact_unitary_oracle(system, x0, t):
     q_nu(t) = q_nu(0) + Omega_nu t modulo 2*pi.
     """
     amp = embed(x0, system.n).amplitudes
-    evolved = amp * np.exp(-1j * system.spectrum.energies * t)
+    evolved = amp * np.exp(-1j * np.diag(system.hamiltonian.matrix) * t)
     return chart_from_state(StateVector(evolved))
 
 

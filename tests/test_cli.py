@@ -11,6 +11,9 @@ from projflow.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SIGMA_Y = [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
+# json writes NaN, and json.load reads it back
+NAN_OBSERVABLE = {"system": {"name": "diagonal", "n": 2, "energies": [1.0, 0.0],
+                             "constraints": [{"kind": "observable", "matrix": [[float("nan"), 1.0], [1.0, 0.0]]}]}}
 
 
 def write_config(path, payload):
@@ -198,12 +201,25 @@ class TestConfigErrors:
             ("check", {"system": {"name": "diagonal", "n": 2, "energies": [-1.0, 1.0],
                                   "constraints": [{"kind": "observable",
                                                    "matrix": [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]}]}}),
+            ("check", NAN_OBSERVABLE),
+            ("field", {**NAN_OBSERVABLE, "grid": {"kind": "chart", "q_min": 0.5, "q_max": 1.5, "q_count": 2,
+                                                  "p_min": 0.2, "p_max": 0.8, "p_count": 2},
+                       "output_path": "unused.csv"}),
+            ("simulate", {**NAN_OBSERVABLE, "initial_point": {"q": [0.9], "p": [0.3]}, "output_path": "unused.csv"}),
         ],
         ids=["point-pairs", "point-outside-chart", "grid-not-object", "constraints-not-list",
-             "constraint-not-object", "observable-not-n-by-n", "n-not-integer", "observable-pairs-not-hermitian"],
+             "constraint-not-object", "observable-not-n-by-n", "n-not-integer", "observable-pairs-not-hermitian",
+             "observable-not-finite-check", "observable-not-finite-field", "observable-not-finite-simulate"],
     )
     def test_malformed_entries(self, tmp_path, capsys, command, payload):
         assert self.run(tmp_path, capsys, command, payload) == 2
+
+    def test_non_finite_observable_named(self, tmp_path, capsys):
+        # simulate used to exit 2 here too, but with "SVD did not converge"
+        payload = {**NAN_OBSERVABLE, "initial_point": {"q": [0.9], "p": [0.3]},
+                   "output_path": str(tmp_path / "out.csv")}
+        assert main(["simulate", write_config(tmp_path / "cfg.json", payload)]) == 2
+        assert "observable matrix must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, entry",

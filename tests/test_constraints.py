@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from projflow import (
     ChartPoint,
+    Constraint,
     EigenstateDegenerateError,
     SingularGramError,
     StateVector,
@@ -11,6 +12,7 @@ from projflow import (
     constraint_frame,
     constrained_field,
     covariance_matrix,
+    diagonal_observable,
     diagonal_system,
     embed,
     finite_difference_gradient,
@@ -57,6 +59,50 @@ class TestConstraint:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             observable_constraint(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_non_finite_matrix_rejected(self, entry):
+        # NaN compares false, so a Hermitian check alone lets it through
+        with pytest.raises(ValueError, match="observable matrix must be finite"):
+            observable_constraint(np.array([[entry, 1.0], [1.0, 0.0]]))
+
+    def test_kind_follows_matrix(self, spin, two_qubit):
+        assert spin.constraints[0].kind == "observable"
+        assert spin.hamiltonian.kind == "observable"
+        assert {c.kind for c in two_qubit.constraints} == {"algebraic"}
+        assert Constraint("bare", lambda pt: 0.0).kind == "algebraic"
+
+
+class TestDiagonalObservable:
+    def test_gradient_is_gaps(self, rng):
+        c = diagonal_observable([1.0, 2.0, 3.0, 0.0])
+        assert np.array_equal(c.gradient(sample_interior_point(rng, 3)), [0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(c.matrix, np.diag([1.0, 2.0, 3.0, 0.0]))
+
+    def test_unit_weight_is_population(self, rng):
+        pt = sample_interior_point(rng, 3)
+        for k in range(3):
+            c = diagonal_observable(np.eye(4)[k], "p%d" % (k + 1))
+            assert c.value(pt) == pt.p[k]
+            assert np.array_equal(c.gradient(pt), np.eye(6)[3 + k])
+
+    @pytest.mark.parametrize("weights", [[1.0], [], [[1.0, 0.0], [0.0, 1.0]]])
+    def test_needs_two_levels(self, weights):
+        with pytest.raises(ValueError, match="at least two levels"):
+            diagonal_observable(weights)
+
+    @pytest.mark.parametrize("weights", [[1.0, float("nan")], [float("inf"), 0.0]])
+    def test_non_finite_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            diagonal_observable(weights)
+
+    def test_dimension_mismatch(self, rng):
+        c = diagonal_observable([1.0, 2.0, 0.0])
+        pt = sample_interior_point(rng, 3)
+        with pytest.raises(ValueError):
+            c.value(pt)
+        with pytest.raises(ValueError):
+            c.gradient(pt)
 
 
 class TestGramMatrix:
@@ -192,6 +238,11 @@ class TestGramCovarianceIdentity:
         for _ in range(10):
             pt = sample_interior_point(rng, 1)
             assert gram_covariance_check(cons, pt) < 1e-10
+
+    def test_population_is_observable(self, rng):
+        cons = (diagonal_observable(np.eye(3)[0], "p1"), diagonal_observable(np.eye(3)[1], "p2"))
+        for _ in range(10):
+            assert gram_covariance_check(cons, sample_interior_point(rng, 2)) < 1e-12
 
     def test_algebraic_constraint_rejected(self, two_qubit, rng):
         with pytest.raises(ValueError):

@@ -6,12 +6,10 @@ from projflow import (
     ChartDomainError,
     ChartPoint,
     DegenerateGeometryError,
-    HamiltonianFunction,
-    SpectrumData,
     algebraic_constraint,
+    canonical_omega,
     constrained_field,
     diagonal_system,
-    embed,
     integrate,
     multipliers,
     product_surface_sample,
@@ -25,17 +23,6 @@ import closedforms as cf
 
 def wrapped_gap(a, b):
     return np.abs(np.mod(a - b + np.pi, 2 * np.pi) - np.pi)
-
-
-class TestSpectrum:
-    def test_gaps(self):
-        spec = SpectrumData([1.0, 2.0, 3.0, 0.0])
-        assert_allclose(spec.gaps, [1.0, 2.0, 3.0])
-
-    def test_hamiltonian_matches_expectation(self, rng):
-        ham = HamiltonianFunction(SpectrumData([0.3, -1.2, 2.0, 0.7]))
-        pt = sample_interior_point(rng, 3)
-        assert abs(ham.value(pt) - ham.expectation(embed(pt))) < 1e-12
 
 
 class TestSchrodingerField:
@@ -108,9 +95,9 @@ class TestMultipliers:
         lam = multipliers(pt, two_qubit)
         geom = geometry_at(pt)
         rows = gradient_rows(two_qubit.constraints, pt)
-        free = geom.omega_inv @ two_qubit.hamiltonian.gradient(pt)
+        free = canonical_omega(3) @ two_qubit.hamiltonian.gradient(pt)
         assembled = free - geom.g_inv @ (rows.T @ lam)
-        assert_allclose(assembled, cf.two_qubit_surface_field(pt.p, two_qubit.spectrum.gaps), atol=1e-12)
+        assert_allclose(assembled, cf.two_qubit_surface_field(pt.p, cf.gaps(two_qubit)), atol=1e-12)
 
     def test_empty_constraints(self, rng):
         system = diagonal_system(3, [1.0, 2.0, 0.0])

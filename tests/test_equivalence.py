@@ -86,7 +86,7 @@ class TestModifiedSymplectic:
         system = diagonal_system(3, [1.0, 2.0, 0.0])
         frame, geom = frame_and_geometry(sample_interior_point(rng, 2), system, ())
         assert frame is None
-        assert np.array_equal(modified_symplectic(frame, geom), geom.omega_inv)
+        assert np.array_equal(modified_symplectic(frame, geom), cf.canonical_symplectic(2))
 
     def test_two_qubit_antisymmetric_on_surface(self, two_qubit):
         for seed in range(5):

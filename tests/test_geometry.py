@@ -8,6 +8,7 @@ from projflow import (
     DegenerateGeometryError,
     StateVector,
     apply_g_inv,
+    canonical_omega,
     chart_from_state,
     embed,
     fubini_study_distance,
@@ -134,8 +135,8 @@ class TestPointGeometry:
         pt = sample_interior_point(rng, 3)
         geom = geometry_at(pt)
         s = cf.canonical_symplectic(3)
-        assert_allclose(geom.omega, s, atol=1e-10)
-        assert_allclose(geom.omega_inv, s, atol=1e-10)
+        assert np.array_equal(canonical_omega(3), s)
+        assert_allclose(0.5 * geom.g @ geom.j, s, atol=1e-10)
 
     def test_four_level_explicit_tensors(self, rng):
         for _ in range(5):
@@ -150,13 +151,14 @@ class TestPointGeometry:
         eye = np.eye(2 * pairs)
         for _ in range(10):
             geom = geometry_at(sample_interior_point(rng, pairs))
+            big_omega = geom.g @ geom.j
             assert np.abs(geom.j @ geom.j + eye).max() < 1e-10
             assert np.abs(geom.j.T @ geom.g @ geom.j - geom.g).max() < 1e-10
-            assert np.abs(geom.omega + geom.omega.T).max() < 1e-12
-            assert np.abs(geom.big_omega_inv @ geom.big_omega.T - eye).max() < 1e-10
-            assert np.abs(geom.j.T @ geom.big_omega @ geom.j - geom.big_omega).max() < 1e-10
-            # fundamental form compatibility in the operative index order
-            assert np.abs(geom.g @ geom.j - geom.big_omega).max() < 1e-10
+            assert np.abs(big_omega + big_omega.T).max() < 1e-10
+            assert np.abs(geom.g_inv @ big_omega @ geom.g_inv @ big_omega.T - eye).max() < 1e-10
+            assert np.abs(geom.j.T @ big_omega @ geom.j - big_omega).max() < 1e-10
+            # the fundamental form in the operative index order is twice omega
+            assert np.abs(0.5 * big_omega - canonical_omega(pairs)).max() < 1e-10
 
     def test_positive_definite_metric(self, rng):
         geom = geometry_at(sample_interior_point(rng, 3))
@@ -182,17 +184,18 @@ class TestClosedForm:
         pt = sample_interior_point(rng, pairs)
         g, big_omega = cf.pullback_tensors(embed(pt).amplitudes, cf.embed_jacobian(pt))
         g_inv = np.linalg.inv(g)
-        oracle = {
-            "g": g,
-            "g_inv": g_inv,
-            "big_omega": big_omega,
-            "omega": 0.5 * big_omega,
-            "omega_inv": 2.0 * g_inv @ big_omega @ g_inv,
-            "j": g_inv @ big_omega,
-        }
         geom = geometry_at(pt)
-        for name, reference in oracle.items():
-            assert self.rel_gap(getattr(geom, name), reference) < 1e-12, name
+        omega = cf.canonical_symplectic(pairs)
+        comparisons = {
+            "g": (geom.g, g),
+            "g_inv": (geom.g_inv, g_inv),
+            "j": (geom.j, g_inv @ big_omega),
+            "big_omega": (geom.g @ geom.j, big_omega),
+            "omega": (omega, 0.5 * big_omega),
+            "omega_inv": (omega, 2.0 * g_inv @ big_omega @ g_inv),
+        }
+        for name, (value, reference) in comparisons.items():
+            assert self.rel_gap(value, reference) < 1e-12, name
         covector = rng.normal(size=2 * pairs)
         columns = rng.normal(size=(2 * pairs, 3))
         assert self.rel_gap(apply_g_inv(pt, covector), g_inv @ covector) < 1e-12

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from projflow import (
     constrained_field,
     constraint_frame,
+    diagonal_observable,
     diagonal_system,
     embed,
     geometry_at,
@@ -51,7 +52,7 @@ def test_constrained_field_is_tangent(n, seed):
     system, pt, _ = draw(n, seed)
     frame = constraint_frame(system.constraints, pt)
     field = constrained_field(pt, system)
-    scale = np.abs(frame.rows).max() * np.abs(system.spectrum.gaps).max()
+    scale = np.abs(frame.rows).max() * np.abs(cf.gaps(system)).max()
     assert np.abs(frame.rows @ field).max() <= 1e-9 * scale
 
 
@@ -94,8 +95,8 @@ def test_geometry_matches_pullback(pairs, seed):
     pt = sample_interior_point(np.random.default_rng(seed), pairs)
     g, big_omega = cf.pullback_tensors(embed(pt).amplitudes, cf.embed_jacobian(pt))
     geom = geometry_at(pt)
-    for name, reference in (("g", g), ("big_omega", big_omega), ("j", np.linalg.solve(g, big_omega))):
-        value = getattr(geom, name)
+    for name, value, reference in (("g", geom.g, g), ("big_omega", geom.g @ geom.j, big_omega),
+                                   ("j", geom.j, np.linalg.solve(g, big_omega))):
         assert np.abs(value - reference).max() <= 1e-10 * np.abs(reference).max(), name
     assert np.abs(geom.j @ geom.j + np.eye(2 * pairs)).max() <= 1e-10
 
@@ -114,3 +115,16 @@ def test_observable_gradient_matches_jacobian_form(n, seed):
     gradient = observable_constraint(matrix).gradient(pt)
     assert np.abs(gradient - reference).max() <= 1e-12 * np.abs(reference).max()
 
+
+
+@examples
+@given(dimensions, seeds)
+@example(64, 64)
+def test_diagonal_observable_matches_general(n, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(-2.0, 2.0, size=n)
+    pt = sample_interior_point(rng, n - 1)
+    closed, general = diagonal_observable(weights), observable_constraint(np.diag(weights))
+    scale = np.abs(weights).max()
+    assert abs(closed.value(pt) - general.value(pt)) <= 1e-12 * scale
+    assert np.abs(closed.gradient(pt) - general.gradient(pt)).max() <= 1e-12 * scale

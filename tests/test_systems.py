@@ -26,15 +26,15 @@ class TestTwoQubitSystem:
     def test_oracle_center(self, two_qubit):
         pt = ChartPoint([0.4, 0.1, 0.3], [0.25, 0.25, 0.25])
         assert_allclose(
-            cf.two_qubit_surface_field(pt.p, two_qubit.spectrum.gaps), [1, 0, 1, 0, 0, 0], atol=1e-15
+            cf.two_qubit_surface_field(pt.p, cf.gaps(two_qubit)), [1, 0, 1, 0, 0, 0], atol=1e-15
         )
 
     def test_presimplified_form_agrees_on_surface(self, two_qubit):
         for seed in range(20):
             pt = product_surface_sample(seed)
             assert_allclose(
-                cf.two_qubit_field_presimplified(pt, two_qubit.spectrum),
-                cf.two_qubit_surface_field(pt.p, two_qubit.spectrum.gaps),
+                cf.two_qubit_field_presimplified(pt, cf.gaps(two_qubit)),
+                cf.two_qubit_surface_field(pt.p, cf.gaps(two_qubit)),
                 atol=1e-12,
             )
 
@@ -43,13 +43,13 @@ class TestTwoQubitSystem:
             pt = product_surface_sample(seed)
             assert_allclose(
                 constrained_field(pt, two_qubit),
-                cf.two_qubit_surface_field(pt.p, two_qubit.spectrum.gaps),
+                cf.two_qubit_surface_field(pt.p, cf.gaps(two_qubit)),
                 atol=1e-10,
             )
 
     def test_custom_energies(self):
         system = system_from_name("two-qubit-product", energies=[5.0, 1.0, 2.0, 3.0])
-        assert_allclose(system.spectrum.gaps, [2.0, -2.0, -1.0])
+        assert_allclose(cf.gaps(system), [2.0, -2.0, -1.0])
 
     def test_chart_dim(self, two_qubit):
         assert two_qubit.chart_dim == 6
@@ -180,6 +180,14 @@ class TestDiagonalSystem:
     def test_energy_count_checked(self):
         with pytest.raises(ValueError):
             diagonal_system(3, [1.0, 2.0])
+
+
+def test_public_names_resolve_once():
+    import projflow
+
+    assert len(projflow.__all__) == len(set(projflow.__all__))
+    for name in projflow.__all__:
+        assert getattr(projflow, name) is not None, name
 
 
 class TestRegistry:

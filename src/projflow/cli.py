@@ -108,7 +108,7 @@ def _build_constraint(spec, n: int):
         if not 1 <= index <= n - 1:
             raise ConfigError("population index out of range")
         # p_k = <psi|P_k|psi>, the projector on level k
-        return diagonal_observable(np.eye(n)[index - 1], spec.get("name", "p%d" % index))
+        return diagonal_observable(np.arange(n) == index - 1, spec.get("name", "p%d" % index))
     raise ConfigError("unknown constraint kind %r" % kind)
 
 

@@ -15,13 +15,14 @@ observables in the current state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EigenstateDegenerateError, SingularGramError
-from .geometry import ChartPoint, StateVector, apply_g_inv, embed
+from .geometry import ChartPoint, StateVector, apply_g_inv, chart_amplitudes, embed
 
 FD_STEP = 1e-6
 # Gram matrices with a worse condition estimate than this, or with a
@@ -109,12 +110,12 @@ def observable_constraint(matrix, name="observable") -> Constraint:
     n = mat.shape[0]
 
     def value(point: ChartPoint) -> float:
-        amp = embed(point, n).amplitudes
+        amp = chart_amplitudes(point, n)
         nrm = float(np.real(np.vdot(amp, amp)))
         return float(np.real(np.vdot(amp, mat @ amp))) / nrm
 
     def gradient(point: ChartPoint) -> np.ndarray:
-        amp = embed(point, n).amplitudes
+        amp = chart_amplitudes(point, n)
         acted = mat @ amp
         residual = acted - np.real(np.vdot(amp, acted)) * amp
         c = amp[:-1].conj() * residual[:-1]
@@ -198,15 +199,40 @@ def gradient_rows(constraints: Sequence[Constraint], point: ChartPoint) -> np.nd
     return np.array([c.gradient(point) for c in constraints], dtype=float)
 
 
+def _invert_gram(m: np.ndarray, names) -> Tuple[np.ndarray, float]:
+    """M^{-1}, exactly symmetric, and the condition estimate of a finite
+    symmetric Gram matrix M; SingularGramError past the limits.  For N <= 2
+    the singular values are the absolute eigenvalues (a + d)/2 +-
+    hypot((a - d)/2, b) of the PSD M (b = 0 and d = a when N = 1), and
+    M^{-1} = adj(M)/det(M); larger sets take the SVD and LAPACK."""
+    if m.shape[0] <= 2:
+        a, d = float(m[0, 0]), float(m[-1, -1])
+        b = float(m[0, 1]) if m.shape[0] == 2 else 0.0
+        mean, rad = abs(0.5 * (a + d)), math.hypot(0.5 * (a - d), b)
+        smax, smin = mean + rad, abs(mean - rad)
+    else:
+        sv = np.linalg.svd(m, compute_uv=False)
+        smax, smin = float(sv[0]), float(sv[-1])
+    cond = np.inf if smin == 0.0 else smax / smin
+    if smin < GRAM_SINGULAR_FLOOR * max(1.0, smax) or cond > GRAM_CONDITION_LIMIT:
+        raise SingularGramError(names, cond)
+    if m.shape[0] == 1:
+        return 1.0 / m, cond
+    if m.shape[0] == 2:
+        return np.array([[d, -b], [-b, a]]) / (a * d - b * b), cond
+    m_inv = np.linalg.inv(m)
+    return 0.5 * (m_inv + m_inv.T), cond
+
+
 def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint) -> ConstraintFrame:
     """Gradients, metric normals and Gram matrix
     M^{ij} = g^{ab} grad_a Phi^i grad_b Phi^j of a constraint set at one
     point, with the inverse of M.
 
-    A Gram matrix whose condition estimate exceeds GRAM_CONDITION_LIMIT
-    (redundant constraints) or whose smallest singular value falls under
-    the floor (a vanishing gradient) is singular and raises
-    SingularGramError naming the constraints.
+    A Gram matrix that is not finite, whose condition estimate exceeds
+    GRAM_CONDITION_LIMIT (redundant constraints) or whose smallest singular
+    value falls under the floor (a vanishing gradient) is singular and
+    raises SingularGramError naming the constraints.
     """
     if len(constraints) == 0:
         raise ValueError("at least one constraint is required")
@@ -215,14 +241,9 @@ def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint) -> Co
     normals = apply_g_inv(point, rows.T).T
     m = rows @ normals.T
     m = 0.5 * (m + m.T)
-    sv = np.linalg.svd(m, compute_uv=False)
-    smax = float(sv[0])
-    smin = float(sv[-1])
-    cond = np.inf if smin == 0.0 else smax / smin
-    if smin < GRAM_SINGULAR_FLOOR * max(1.0, smax) or cond > GRAM_CONDITION_LIMIT:
-        raise SingularGramError(names, cond)
-    m_inv = np.linalg.inv(m)
-    return ConstraintFrame(names, rows, normals, m, 0.5 * (m_inv + m_inv.T), float(cond))
+    if not np.isfinite(m).all():
+        raise SingularGramError(names, np.nan)
+    return ConstraintFrame(names, rows, normals, m, *_invert_gram(m, names))
 
 
 def gram_matrix(constraints: Sequence[Constraint], point: ChartPoint) -> np.ndarray:

@@ -129,6 +129,8 @@ def integrate(
         raise ValueError("dt must be positive and finite")
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError("t_end must be nonnegative and finite")
+    if isinstance(newton_max, bool) or not isinstance(newton_max, int) or newton_max < 0:
+        raise ValueError("newton_max must be a nonnegative integer")
     cons = resolve_constraints(system, constraints)
     ham = system.hamiltonian
 

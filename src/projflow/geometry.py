@@ -75,8 +75,12 @@ class ChartPoint:
     def from_coords(cls, x) -> "ChartPoint":
         """Build from a flat coordinate vector (q-block, then p-block)."""
         x = np.asarray(x, dtype=float)
-        m = x.size // 2
-        return cls(x[:m], x[m:])
+        if x.ndim != 1 or x.size % 2 or not np.isfinite(x).all():
+            raise ValueError("coordinates must be a finite 1-d array of even length")
+        point = object.__new__(cls)
+        object.__setattr__(point, "q", x[: x.size // 2])
+        object.__setattr__(point, "p", x[x.size // 2 :])
+        return point
 
     def coords(self) -> np.ndarray:
         return np.concatenate([self.q, self.p])
@@ -106,15 +110,11 @@ class StateVector:
         amp = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex))
         if amp.ndim != 1:
             raise ValueError("amplitudes must form a vector")
-        if not np.isfinite(amp.view(float)).all():
+        if not np.isfinite(amp).all():
             raise ValueError("amplitudes must be finite")
         if not np.any(amp):
             raise ChartDomainError("the zero vector does not represent a state")
         object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def n(self) -> int:
-        return self.amplitudes.size
 
     def norm_squared(self) -> float:
         return float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
@@ -153,13 +153,8 @@ def canonical_omega(m: int) -> np.ndarray:
     return omega
 
 
-def embed(point: ChartPoint, n: int | None = None) -> StateVector:
-    """Map a chart point to its state vector.
-
-    The component psi^nu carries modulus sqrt(p_nu) and phase -q_nu; the
-    residual amplitude sqrt(1 - sum p) sits on the last basis vector and is
-    real positive, which fixes the overall phase of the representative.
-    """
+def chart_amplitudes(point: ChartPoint, n: int | None = None) -> np.ndarray:
+    """The amplitudes of embed(point, n), without building a StateVector."""
     m = point.m
     if n is not None and n != m + 1:
         raise ValueError("chart has %d pairs but an n = %d system needs %d" % (m, n, n - 1))
@@ -171,7 +166,17 @@ def embed(point: ChartPoint, n: int | None = None) -> StateVector:
     amp = np.empty(m + 1, dtype=complex)
     amp[:m] = np.sqrt(point.p) * np.exp(-1j * point.q)
     amp[m] = np.sqrt(p_last)
-    return StateVector(amp)
+    return amp
+
+
+def embed(point: ChartPoint, n: int | None = None) -> StateVector:
+    """Map a chart point to its state vector.
+
+    The component psi^nu carries modulus sqrt(p_nu) and phase -q_nu; the
+    residual amplitude sqrt(1 - sum p) sits on the last basis vector and is
+    real positive, which fixes the overall phase of the representative.
+    """
+    return StateVector(chart_amplitudes(point, n))
 
 
 def chart_from_state(state: StateVector) -> ChartPoint:

@@ -23,6 +23,7 @@ from projflow import (
     embed,
     type_decompose,
 )
+from projflow.constraints import GRAM_CONDITION_LIMIT, GRAM_SINGULAR_FLOOR
 
 
 def embed_jacobian(point):
@@ -333,3 +334,12 @@ def rows_frame(constraints, point):
     normals = apply_g_inv(point, rows.T).T
     gram = rows @ normals.T
     return SimpleNamespace(rows=rows, normals=normals, gram=0.5 * (gram + gram.T))
+
+
+def svd_gram_rule(gram):
+    """The singularity rule of constraint_frame evaluated through the SVD
+    of the Gram matrix, for any N: returns (condition estimate, singular)."""
+    sv = np.linalg.svd(gram, compute_uv=False)
+    smax, smin = float(sv[0]), float(sv[-1])
+    cond = np.inf if smin == 0.0 else smax / smin
+    return cond, smin < GRAM_SINGULAR_FLOOR * max(1.0, smax) or cond > GRAM_CONDITION_LIMIT

@@ -302,6 +302,20 @@ def test_vanishing_gradient_is_singular(rng):
         gram_matrix(system.constraints, sample_interior_point(rng, 1))
 
 
+def nan_gradient():
+    return algebraic_constraint("nan-grad", lambda pt: 0.0, lambda pt: np.full(2 * pt.m, np.nan))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_non_finite_gram_is_singular(size, rng):
+    # a NaN fails every comparison, so the singularity thresholds alone
+    # would let a NaN Gram matrix through
+    populations = [diagonal_observable(np.eye(4)[k], "p%d" % (k + 1)) for k in range(2)]
+    constraints = [nan_gradient()] + populations[: size - 1]
+    with pytest.raises(SingularGramError, match="nan-grad"):
+        constraint_frame(constraints, sample_interior_point(rng, 3))
+
+
 def test_condition_number_reported(two_qubit, rng):
     frame = constraint_frame(two_qubit.constraints, sample_interior_point(rng, 3))
     assert frame.condition_number >= 1.0

@@ -239,6 +239,17 @@ class TestIntegrate:
         assert traj.exit_flag == "singular"
         assert len(traj) == 1
 
+    def test_non_finite_gram_truncates_singular(self, spin):
+        nan_grad = algebraic_constraint("nan-grad", lambda pt: 0.0, lambda pt: np.full(2 * pt.m, np.nan))
+        traj = integrate(spin, ChartPoint([0.9], [0.3]), 1.0, 0.01, constraints=(nan_grad,))
+        assert traj.exit_flag == "singular"
+        assert len(traj) == 1
+
+    @pytest.mark.parametrize("newton_max", [-1, 2.5])
+    def test_invalid_newton_max(self, spin, newton_max):
+        with pytest.raises(ValueError, match="newton_max"):
+            integrate(spin, ChartPoint([0.9], [0.3]), 1.0, 0.01, newton_max=newton_max)
+
     def test_fixed_point_stays_exactly(self, spin):
         traj = integrate(spin, ChartPoint([np.pi / 2], [0.25]), 1.0, 0.01)
         assert traj.exit_flag == "completed"

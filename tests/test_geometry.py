@@ -22,6 +22,24 @@ from projflow import (
 import closedforms as cf
 
 
+class TestChartPoint:
+    def test_from_coords_splits_blocks(self):
+        pt = ChartPoint.from_coords([0.1, 0.2, 0.3, 0.4])
+        assert np.array_equal(pt.q, [0.1, 0.2]) and np.array_equal(pt.p, [0.3, 0.4])
+        assert np.array_equal(pt.coords(), [0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("coords", [[0.1, 0.2, 0.3], [[0.1, 0.2], [0.3, 0.4]], 0.5, [0.1, np.nan],
+                                        [np.inf, 0.3]])
+    def test_from_coords_rejects(self, coords):
+        with pytest.raises(ValueError):
+            ChartPoint.from_coords(coords)
+
+    @pytest.mark.parametrize("q, p", [([0.1, 0.2], [0.3]), ([np.nan], [0.3]), ([0.1], [[0.3]])])
+    def test_constructor_rejects(self, q, p):
+        with pytest.raises(ValueError):
+            ChartPoint(q, p)
+
+
 class TestEmbed:
     def test_two_level_balanced(self):
         psi = embed(ChartPoint([0.0], [0.5])).amplitudes
@@ -104,6 +122,11 @@ class TestFubiniStudy:
     def test_zero_vector_rejected(self):
         with pytest.raises(ChartDomainError):
             StateVector([0.0, 0.0])
+
+    def test_strided_amplitudes(self):
+        assert np.array_equal(StateVector(np.array([1, 2, 3, 4], complex)[::2]).amplitudes, [1, 3])
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(np.array([1, 2, np.nan, 4], complex)[::2])
 
     def test_metric_axioms_on_random_triples(self, rng):
         for _ in range(25):

@@ -6,9 +6,11 @@ examples stay reproducible under derandomize.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from projflow import (
+    SingularGramError,
     constrained_field,
     constraint_frame,
     diagonal_observable,
@@ -128,3 +130,47 @@ def test_diagonal_observable_matches_general(n, seed):
     scale = np.abs(weights).max()
     assert abs(closed.value(pt) - general.value(pt)) <= 1e-12 * scale
     assert np.abs(closed.gradient(pt) - general.gradient(pt)).max() <= 1e-12 * scale
+
+
+def near_parallel(matrices, pt, target):
+    """Observables (A, A + eps B) with eps tuned so that the SVD condition
+    estimate of their Gram matrix is about target; it grows as 1/eps^2."""
+    a, b = matrices
+
+    def pair(eps):
+        return (observable_constraint(a, "a"), observable_constraint(a + eps * b, "a+eps*b"))
+
+    eps = 1e-3
+    cond, _ = cf.svd_gram_rule(cf.rows_frame(pair(eps), pt).gram)
+    eps *= np.sqrt(cond / target)
+    cond, _ = cf.svd_gram_rule(cf.rows_frame(pair(eps), pt).gram)
+    assert target / 10.0 < cond < 10.0 * target
+    return pair(eps)
+
+
+@examples
+@given(dimensions, seeds)
+@example(64, 64)
+def test_gram_spectrum_matches_svd_rule(n, seed):
+    rng = np.random.default_rng(seed)
+    matrices = [hermitian(rng, n) for _ in range(3)]
+    pt = sample_interior_point(rng, n - 1)
+    cons = [observable_constraint(mat, "o%d" % i) for i, mat in enumerate(matrices)]
+    # (constraints, expected decision); the random sets may go either way,
+    # and for n = 2 three constraints on two coordinates are always singular
+    cases = [(cons[:size], None) for size in (1, 2, 3)]
+    cases.append(((cons[0], cons[0]), True))
+    cases += [(near_parallel(matrices[:2], pt, target), target > 1e12) for target in (1e10, 1e14)]
+    for constraints, singular in cases:
+        gram = cf.rows_frame(constraints, pt).gram
+        cond, oracle_singular = cf.svd_gram_rule(gram)
+        assert singular is None or oracle_singular == singular
+        if oracle_singular:
+            with pytest.raises(SingularGramError):
+                constraint_frame(constraints, pt)
+            continue
+        frame = constraint_frame(constraints, pt)
+        if singular is None:
+            inverse = np.linalg.inv(gram)
+            assert np.abs(frame.gram_inv - inverse).max() <= 1e-12 * np.abs(inverse).max()
+            assert abs(frame.condition_number - cond) <= 1e-9 * cond

@@ -14,17 +14,14 @@ from .constraints import (
     constraint_frame,
     covariance_matrix,
     diagonal_observable,
-    finite_difference_gradient,
     gram_covariance_check,
     gram_matrix,
     observable_constraint,
-    two_constraint_determinant,
 )
 from .dynamics import (
     Trajectory,
     constrained_field,
     integrate,
-    multipliers,
     schrodinger_field,
 )
 from .equivalence import (
@@ -33,14 +30,12 @@ from .equivalence import (
     equivalence_report,
     j_invariance_residual,
     modified_symplectic,
-    single_constraint_orthogonality,
     tau_analysis,
 )
 from .errors import (
     ChartDomainError,
     ConfigError,
     DegenerateGeometryError,
-    EigenstateDegenerateError,
     SingularGramError,
 )
 from .geometry import (
@@ -51,11 +46,9 @@ from .geometry import (
     canonical_omega,
     chart_from_state,
     embed,
-    fubini_study_distance,
     geometry_at,
     nijenhuis_residual,
     nijenhuis_tensor,
-    type_decompose,
 )
 from .systems import (
     AngularPoint,
@@ -80,7 +73,6 @@ __all__ = [
     "Constraint",
     "ConstraintFrame",
     "DegenerateGeometryError",
-    "EigenstateDegenerateError",
     "EquivalenceReport",
     "PointGeometry",
     "SingularGramError",
@@ -99,16 +91,13 @@ __all__ = [
     "diagonal_system",
     "embed",
     "equivalence_report",
-    "finite_difference_gradient",
     "from_angular",
-    "fubini_study_distance",
     "geometry_at",
     "gram_covariance_check",
     "gram_matrix",
     "integrate",
     "j_invariance_residual",
     "modified_symplectic",
-    "multipliers",
     "nijenhuis_residual",
     "nijenhuis_tensor",
     "observable_constraint",
@@ -116,11 +105,8 @@ __all__ = [
     "pushforward_to_angular",
     "sample_interior_point",
     "schrodinger_field",
-    "single_constraint_orthogonality",
     "single_spin_conserved_sx",
     "system_from_name",
     "tau_analysis",
-    "two_constraint_determinant",
     "two_qubit_product_system",
-    "type_decompose",
 ]

@@ -21,31 +21,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EigenstateDegenerateError, SingularGramError
+from .errors import SingularGramError
 from .geometry import ChartPoint, StateVector, apply_g_inv, chart_amplitudes, embed
 
-FD_STEP = 1e-6
-# Gram matrices with a worse condition estimate than this, or with a
-# smallest singular value below the floor, are treated as singular.
-GRAM_CONDITION_LIMIT = 1e12
+# Gram matrices whose smallest singular value falls below this floor,
+# relative to max(1, sigma_max), are treated as singular.  This bounds the
+# condition estimate too: sigma_max/sigma_min > 1/floor implies the test.
 GRAM_SINGULAR_FLOOR = 1e-12
-
-
-def finite_difference_gradient(fn, point: ChartPoint, step: float = FD_STEP) -> np.ndarray:
-    """Centred-difference gradient of a scalar chart function.
-
-    The step along coordinate a is step * max(1, |x_a|).
-    """
-    x0 = point.coords()
-    grad = np.empty_like(x0)
-    for a in range(x0.size):
-        h = step * max(1.0, abs(x0[a]))
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[a] += h
-        xm[a] -= h
-        grad[a] = (fn(ChartPoint.from_coords(xp)) - fn(ChartPoint.from_coords(xm))) / (2.0 * h)
-    return grad
 
 
 def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
@@ -64,15 +46,19 @@ def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
 class Constraint:
     """A single real constraint with its gradient.
 
-    An observable constraint carries its Hermitian matrix; an algebraic one
-    has none.  When no analytic gradient is supplied the centred
-    finite-difference fallback is used.
+    An observable constraint carries its Hermitian matrix, or the weight
+    vector w of a diagonal observable diag(w); an algebraic one has none.
+    Every constraint carries its analytic gradient.
     """
 
     name: str
     fn: Callable[[ChartPoint], float]
-    grad: Optional[Callable[[ChartPoint], np.ndarray]] = None
+    grad: Callable[[ChartPoint], np.ndarray]
     matrix: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if not callable(self.grad):
+            raise TypeError("constraint %r needs a gradient function" % self.name)
 
     @property
     def kind(self) -> str:
@@ -84,13 +70,12 @@ class Constraint:
         return float(self.fn(point))
 
     def gradient(self, point: ChartPoint) -> np.ndarray:
-        if self.grad is not None:
-            return np.asarray(self.grad(point), dtype=float)
-        return finite_difference_gradient(self.fn, point)
+        return np.asarray(self.grad(point), dtype=float)
 
 
-def algebraic_constraint(name, fn, grad=None) -> Constraint:
-    """Wrap an arbitrary real chart function as a constraint."""
+def algebraic_constraint(name, fn, grad) -> Constraint:
+    """Wrap an arbitrary real chart function and its gradient as a
+    constraint."""
     return Constraint(name=name, fn=fn, grad=grad)
 
 
@@ -130,7 +115,8 @@ def diagonal_observable(weights, name="observable") -> Constraint:
     In the chart its expectation is Phi = w_n + sum_nu (w_nu - w_n) p_nu, so
     the gradient is constant: zero along the angles, the gaps w_nu - w_n
     along the actions.  Equal to observable_constraint(np.diag(w)) without
-    its per-point matvec; a unit vector e_k gives the population p_k.
+    its per-point matvec, and it stores w, not the n x n matrix; a unit
+    vector e_k gives the population p_k.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 2:
@@ -147,7 +133,7 @@ def diagonal_observable(weights, name="observable") -> Constraint:
         grad[point.m:] = gaps
         return grad
 
-    return Constraint(name=name, fn=value, grad=gradient, matrix=np.diag(w))
+    return Constraint(name=name, fn=value, grad=gradient, matrix=w)
 
 
 @dataclass(frozen=True)
@@ -201,7 +187,7 @@ def gradient_rows(constraints: Sequence[Constraint], point: ChartPoint) -> np.nd
 
 def _invert_gram(m: np.ndarray, names) -> Tuple[np.ndarray, float]:
     """M^{-1}, exactly symmetric, and the condition estimate of a finite
-    symmetric Gram matrix M; SingularGramError past the limits.  For N <= 2
+    symmetric Gram matrix M; SingularGramError under the floor.  For N <= 2
     the singular values are the absolute eigenvalues (a + d)/2 +-
     hypot((a - d)/2, b) of the PSD M (b = 0 and d = a when N = 1), and
     M^{-1} = adj(M)/det(M); larger sets take the SVD and LAPACK."""
@@ -214,7 +200,7 @@ def _invert_gram(m: np.ndarray, names) -> Tuple[np.ndarray, float]:
         sv = np.linalg.svd(m, compute_uv=False)
         smax, smin = float(sv[0]), float(sv[-1])
     cond = np.inf if smin == 0.0 else smax / smin
-    if smin < GRAM_SINGULAR_FLOOR * max(1.0, smax) or cond > GRAM_CONDITION_LIMIT:
+    if smin < GRAM_SINGULAR_FLOOR * max(1.0, smax):
         raise SingularGramError(names, cond)
     if m.shape[0] == 1:
         return 1.0 / m, cond
@@ -229,10 +215,10 @@ def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint) -> Co
     M^{ij} = g^{ab} grad_a Phi^i grad_b Phi^j of a constraint set at one
     point, with the inverse of M.
 
-    A Gram matrix that is not finite, whose condition estimate exceeds
-    GRAM_CONDITION_LIMIT (redundant constraints) or whose smallest singular
-    value falls under the floor (a vanishing gradient) is singular and
-    raises SingularGramError naming the constraints.
+    A Gram matrix that is not finite, or whose smallest singular value
+    falls under GRAM_SINGULAR_FLOOR * max(1, sigma_max) (redundant
+    constraints, a vanishing gradient), is singular and raises
+    SingularGramError naming the constraints.
     """
     if len(constraints) == 0:
         raise ValueError("at least one constraint is required")
@@ -273,34 +259,15 @@ def gram_covariance_check(constraints: Sequence[Constraint], point: ChartPoint) 
     """Max-norm gap between the metric Gram matrix and the Hilbert-space
     covariance matrix of the same observables; analytically zero.
 
-    Only observable-kind constraints qualify.
+    Only observable-kind constraints qualify; a diagonal observable's
+    weights are expanded to diag(w) here.
     """
     for c in constraints:
         if c.kind != "observable":
             raise ValueError("constraint %r is not observable-kind" % c.name)
     rows = gradient_rows(constraints, point)
     metric_side = rows @ apply_g_inv(point, rows.T)
-    hilbert_side = covariance_matrix([c.matrix for c in constraints], embed(point))
+    mats = [np.diag(c.matrix) if c.matrix.ndim == 1 else c.matrix for c in constraints]
+    hilbert_side = covariance_matrix(mats, embed(point))
     return float(np.abs(metric_side - hilbert_side).max())
 
-
-def two_constraint_determinant(m: np.ndarray):
-    """Determinant decomposition det M = (1 - rho^2) var(A) var(B) of a
-    2 x 2 Gram matrix.
-
-    Returns (delta, rho) with rho the correlation of the two constrained
-    quantities; |rho| = 1 flags a perfectly (anti)correlated, hence
-    redundant, pair.  Raises EigenstateDegenerateError when a variance
-    vanishes.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError("exactly two constraints are required")
-    var_a = float(m[0, 0])
-    var_b = float(m[1, 1])
-    floor = 1e-14 * max(1.0, float(np.abs(m).max()))
-    if var_a <= floor or var_b <= floor:
-        raise EigenstateDegenerateError("a constraint has zero variance at this point")
-    rho = float(np.clip(m[0, 1] / np.sqrt(var_a * var_b), -1.0, 1.0))
-    delta = (1.0 - rho**2) * var_a * var_b
-    return delta, rho

@@ -57,9 +57,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def point(self, i: int) -> ChartPoint:
-        return ChartPoint(self.qs[i], self.ps[i])
-
 
 def schrodinger_field(point: ChartPoint, system) -> np.ndarray:
     """Unconstrained flow omega^{ab} grad_b H = (grad_p H, -grad_q H); in
@@ -68,19 +65,6 @@ def schrodinger_field(point: ChartPoint, system) -> np.ndarray:
     require_interior(point)
     grad = system.hamiltonian.gradient(point)
     return np.concatenate([grad[point.m:], -grad[:point.m]])
-
-
-def multipliers(point: ChartPoint, system, constraints=None) -> np.ndarray:
-    """Lagrange multipliers lambda_i = M_ij omega^{ab} grad_a Phi^j grad_b H.
-
-    Solving with these multipliers makes the projected field tangent to
-    every constraint surface.  Raises SingularGramError when M is not
-    invertible at the point.
-    """
-    cons = resolve_constraints(system, constraints)
-    if not cons:
-        return np.zeros(0)
-    return constraint_frame(cons, point).multipliers(schrodinger_field(point, system))
 
 
 def constrained_field(point: ChartPoint, system, constraints=None) -> np.ndarray:
@@ -118,12 +102,12 @@ def integrate(
     back to the initial ones after every step.
 
     The start point must lie inside the guarded chart (require_interior).
-    If a stage point, a step or a projected point leaves it, the trajectory
-    is truncated with exit_flag "boundary"; a singular constraint Gram
-    matrix en route truncates with "singular"; a step whose constraint
-    residual is still at or above PROJECTION_TOL after newton_max
-    corrections truncates with "projection".  Truncation drops the
-    offending step.
+    If a stage point, a step or a projected point leaves it, or is not
+    finite (a NaN or overflowing field), the trajectory is truncated with
+    exit_flag "boundary"; a singular constraint Gram matrix en route
+    truncates with "singular"; a step whose constraint residual is still
+    at or above PROJECTION_TOL after newton_max corrections truncates with
+    "projection".  Truncation drops the offending step.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import Constraint, ConstraintFrame, constraint_frame, resolve_constraints
+from .constraints import ConstraintFrame, constraint_frame, resolve_constraints
 from .geometry import ChartPoint, PointGeometry, canonical_omega, geometry_at
 
 EQUIVALENCE_TOL = 1e-8
@@ -82,18 +82,6 @@ def j_invariance_residual(frame: ConstraintFrame, geom: PointGeometry) -> float:
     """
     mu = frame.mu
     return float(np.abs(geom.j.T @ mu @ geom.j - mu).max())
-
-
-def single_constraint_orthogonality(point: ChartPoint, constraint: Constraint) -> float:
-    """|g^{ab} (J^T grad Phi)_a grad_b Phi|, which vanishes identically.
-
-    This orthogonality is what forbids a single constraint from ever
-    satisfying the J-invariance condition (away from critical points of
-    Phi).
-    """
-    geom = geometry_at(point)
-    grad = constraint.gradient(point)
-    return float(abs((geom.j.T @ grad) @ geom.g_inv @ grad))
 
 
 def tau_analysis(frame: ConstraintFrame, geom: PointGeometry):

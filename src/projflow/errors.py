@@ -10,11 +10,6 @@ class DegenerateGeometryError(ChartDomainError):
     margin of the chart boundary, where 1/p entries of g blow up."""
 
 
-class EigenstateDegenerateError(ValueError):
-    """A constraint has zero variance at this state (the state is an
-    eigenstate of the constrained observable)."""
-
-
 class SingularGramError(RuntimeError):
     """The constraint Gram matrix is not invertible, typically because the
     constraints are redundant or a gradient vanishes."""

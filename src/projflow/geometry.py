@@ -73,10 +73,11 @@ class ChartPoint:
 
     @classmethod
     def from_coords(cls, x) -> "ChartPoint":
-        """Build from a flat coordinate vector (q-block, then p-block)."""
+        """Build from a flat coordinate vector (q-block, then p-block).  A
+        non-finite entry lies in no chart and raises ChartDomainError."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size % 2 or not np.isfinite(x).all():
-            raise ValueError("coordinates must be a finite 1-d array of even length")
+            raise ChartDomainError("coordinates must be a finite 1-d array of even length")
         point = object.__new__(cls)
         object.__setattr__(point, "q", x[: x.size // 2])
         object.__setattr__(point, "p", x[x.size // 2 :])
@@ -252,20 +253,6 @@ def geometry_at(point: ChartPoint) -> PointGeometry:
     return PointGeometry(g, g_inv, j)
 
 
-def fubini_study_distance(a: StateVector, b: StateVector) -> float:
-    """Geodesic angle theta in [0, pi] between two rays.
-
-    Defined through the transition probability:
-        (1 + cos theta) / 2 = |<a|b>|^2 / (<a|a> <b|b>).
-    Invariant under independent rescaling of either argument; identical
-    rays give 0 and orthogonal rays give pi.
-    """
-    na = a.norm_squared()
-    nb = b.norm_squared()
-    fidelity = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 / (na * nb)
-    return float(np.arccos(np.clip(2.0 * fidelity - 1.0, -1.0, 1.0)))
-
-
 def nijenhuis_tensor(point: ChartPoint, step: float = 1e-5) -> np.ndarray:
     """Discretised integrability obstruction of the complex structure,
 
@@ -299,19 +286,3 @@ def nijenhuis_residual(point: ChartPoint, step: float = 1e-5) -> float:
     (up to O(step^2) finite-difference error) on an integrable structure."""
     return float(np.abs(nijenhuis_tensor(point, step)).max())
 
-
-def type_decompose(v, geom: PointGeometry):
-    """Split a covector into complex positive and negative parts.
-
-    Returns (v_plus, v_minus) with v_plus + v_minus = v,
-
-        v_plus  = (v - i J^T v) / 2,      v_minus = (v + i J^T v) / 2,
-
-    so that the covector action of J scales the parts by +i and -i:
-    J^T v_plus = +i v_plus and J^T v_minus = -i v_minus.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (geom.dim,):
-        raise ValueError("covector length %d does not match chart dimension %d" % (v.size, geom.dim))
-    jv = geom.j.T @ v
-    return 0.5 * (v - 1j * jv), 0.5 * (v + 1j * jv)

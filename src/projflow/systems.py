@@ -105,7 +105,7 @@ def two_qubit_product_system(energies=(1.0, 2.0, 3.0, 0.0)) -> SystemDefinition:
     """Pair of spins constrained to the product submanifold; the default
     energies give gaps Omega = (1, 2, 3)."""
     hamiltonian = diagonal_observable(energies, "H")
-    if hamiltonian.matrix.shape[0] != 4:
+    if hamiltonian.matrix.size != 4:
         raise ValueError("the two-qubit system needs exactly four energies")
     constraints = (
         algebraic_constraint("phase-sum", _phase_sum, _phase_sum_grad),

@@ -4,7 +4,10 @@ oracles.
 The explicit matrices of the worked systems are assembled entry by entry;
 the general-dimension geometry is rebuilt by pulling the Fubini-Study form
 back through the embedding with the full chart Jacobian embed_jacobian, a
-route the library itself no longer takes.
+route the library itself no longer takes.  The helpers that only tests
+call live here too: the Fubini-Study distance, the type decomposition,
+the single-constraint orthogonality, the two-constraint determinant, the
+Lagrange multipliers of a system and the finite-difference gradient.
 """
 
 import math
@@ -20,10 +23,119 @@ from projflow import (
     algebraic_constraint,
     apply_g_inv,
     chart_from_state,
+    constraint_frame,
     embed,
-    type_decompose,
+    geometry_at,
+    schrodinger_field,
 )
-from projflow.constraints import GRAM_CONDITION_LIMIT, GRAM_SINGULAR_FLOOR
+from projflow.constraints import GRAM_SINGULAR_FLOOR
+
+FD_STEP = 1e-6
+# The condition limit constraint_frame once tested next to its floor; the
+# SVD oracle keeps that two-part rule, so agreeing with it shows the floor
+# alone makes the same decision.
+GRAM_CONDITION_LIMIT = 1e12
+
+
+class EigenstateDegenerateError(ValueError):
+    """A constraint has zero variance at this state (the state is an
+    eigenstate of the constrained observable)."""
+
+
+def finite_difference_gradient(fn, point, step=FD_STEP):
+    """Centred-difference gradient of a scalar chart function.
+
+    The step along coordinate a is step * max(1, |x_a|).
+    """
+    x0 = point.coords()
+    grad = np.empty_like(x0)
+    for a in range(x0.size):
+        h = step * max(1.0, abs(x0[a]))
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[a] += h
+        xm[a] -= h
+        grad[a] = (fn(ChartPoint.from_coords(xp)) - fn(ChartPoint.from_coords(xm))) / (2.0 * h)
+    return grad
+
+
+def fubini_study_distance(a, b):
+    """Geodesic angle theta in [0, pi] between two rays.
+
+    Defined through the transition probability:
+        (1 + cos theta) / 2 = |<a|b>|^2 / (<a|a> <b|b>).
+    Invariant under independent rescaling of either argument; identical
+    rays give 0 and orthogonal rays give pi.
+    """
+    na = a.norm_squared()
+    nb = b.norm_squared()
+    fidelity = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 / (na * nb)
+    return float(np.arccos(np.clip(2.0 * fidelity - 1.0, -1.0, 1.0)))
+
+
+def type_decompose(v, geom):
+    """Split a covector into complex positive and negative parts.
+
+    Returns (v_plus, v_minus) with v_plus + v_minus = v,
+
+        v_plus  = (v - i J^T v) / 2,      v_minus = (v + i J^T v) / 2,
+
+    so that the covector action of J scales the parts by +i and -i:
+    J^T v_plus = +i v_plus and J^T v_minus = -i v_minus.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (geom.dim,):
+        raise ValueError("covector length %d does not match chart dimension %d" % (v.size, geom.dim))
+    jv = geom.j.T @ v
+    return 0.5 * (v - 1j * jv), 0.5 * (v + 1j * jv)
+
+
+def single_constraint_orthogonality(point, constraint):
+    """|g^{ab} (J^T grad Phi)_a grad_b Phi|, which vanishes identically.
+
+    This orthogonality is what forbids a single constraint from ever
+    satisfying the J-invariance condition (away from critical points of
+    Phi).
+    """
+    geom = geometry_at(point)
+    grad = constraint.gradient(point)
+    return float(abs((geom.j.T @ grad) @ geom.g_inv @ grad))
+
+
+def two_constraint_determinant(m):
+    """Determinant decomposition det M = (1 - rho^2) var(A) var(B) of a
+    2 x 2 Gram matrix.
+
+    Returns (delta, rho) with rho the correlation of the two constrained
+    quantities; |rho| = 1 flags a perfectly (anti)correlated, hence
+    redundant, pair.  Raises EigenstateDegenerateError when a variance
+    vanishes.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2):
+        raise ValueError("exactly two constraints are required")
+    var_a = float(m[0, 0])
+    var_b = float(m[1, 1])
+    floor = 1e-14 * max(1.0, float(np.abs(m).max()))
+    if var_a <= floor or var_b <= floor:
+        raise EigenstateDegenerateError("a constraint has zero variance at this point")
+    rho = float(np.clip(m[0, 1] / np.sqrt(var_a * var_b), -1.0, 1.0))
+    delta = (1.0 - rho**2) * var_a * var_b
+    return delta, rho
+
+
+def multipliers(point, system, constraints=None):
+    """Lagrange multipliers lambda_i = M_ij omega^{ab} grad_a Phi^j grad_b H
+    of the given constraints, or of the system's own; empty for none."""
+    cons = tuple(system.constraints if constraints is None else constraints)
+    if not cons:
+        return np.zeros(0)
+    return constraint_frame(cons, point).multipliers(schrodinger_field(point, system))
+
+
+def trajectory_point(traj, i):
+    """The chart point of sample i of a trajectory."""
+    return ChartPoint(traj.qs[i], traj.ps[i])
 
 
 def embed_jacobian(point):
@@ -110,8 +222,9 @@ def decompose_tau_blocks(grad_a, grad_b, geom):
 
 
 def gaps(system):
-    """Omega_nu = E_nu - E_n of a system with a diagonal Hamiltonian."""
-    energies = np.diag(system.hamiltonian.matrix)
+    """Omega_nu = E_nu - E_n of a system with a diagonal Hamiltonian,
+    whose matrix field holds the energies."""
+    energies = system.hamiltonian.matrix
     return energies[:-1] - energies[-1]
 
 
@@ -144,7 +257,7 @@ def two_qubit_trig_constraints():
         sqrt(p1 p4) cos q1 - sqrt(p2 p3) cos(q2 + q3),
         sqrt(p1 p4) sin q1 - sqrt(p2 p3) sin(q2 + q3),
 
-    with gradients left to the finite-difference fallback."""
+    with centred finite-difference gradients."""
 
     def cos_part(point):
         p1, p2, p3 = point.p
@@ -162,9 +275,9 @@ def two_qubit_trig_constraints():
             - math.sqrt(p2 * p3) * math.sin(point.q[1] + point.q[2])
         )
 
-    return (
-        algebraic_constraint("product-cos", cos_part),
-        algebraic_constraint("product-sin", sin_part),
+    return tuple(
+        algebraic_constraint(name, fn, lambda pt, fn=fn: finite_difference_gradient(fn, pt))
+        for name, fn in (("product-cos", cos_part), ("product-sin", sin_part))
     )
 
 
@@ -307,7 +420,7 @@ def exact_unitary_oracle(system, x0, t):
     q_nu(t) = q_nu(0) + Omega_nu t modulo 2*pi.
     """
     amp = embed(x0, system.n).amplitudes
-    evolved = amp * np.exp(-1j * np.diag(system.hamiltonian.matrix) * t)
+    evolved = amp * np.exp(-1j * system.hamiltonian.matrix * t)
     return chart_from_state(StateVector(evolved))
 
 
@@ -337,8 +450,9 @@ def rows_frame(constraints, point):
 
 
 def svd_gram_rule(gram):
-    """The singularity rule of constraint_frame evaluated through the SVD
-    of the Gram matrix, for any N: returns (condition estimate, singular)."""
+    """The two-part singularity rule, the floor or GRAM_CONDITION_LIMIT,
+    evaluated through the SVD of the Gram matrix, for any N: returns
+    (condition estimate, singular)."""
     sv = np.linalg.svd(gram, compute_uv=False)
     smax, smin = float(sv[0]), float(sv[-1])
     cond = np.inf if smin == 0.0 else smax / smin

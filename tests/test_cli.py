@@ -120,6 +120,24 @@ class TestSimulate:
         _, rows = read_csv(out)
         assert rows[-1][-1] == "singular"
 
+    def test_overflowing_field_exits_3(self, tmp_path):
+        # every entry is finite, but the gap 1e308 overflows the RK4 sum
+        out = tmp_path / "overflow.csv"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {
+                "system": {"name": "diagonal", "n": 2, "energies": [1e308, 0.0]},
+                "initial_point": {"q": [0.9], "p": [0.3]},
+                "t_end": 1.0,
+                "dt": 1e-2,
+                "output_path": str(out),
+            },
+        )
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["simulate", cfg]) == 3
+        _, rows = read_csv(out)
+        assert len(rows) == 1 and rows[0][-1] == "boundary"
+
     def test_complex_observable_conserved(self, tmp_path):
         out = tmp_path / "traj.csv"
         cfg = write_config(

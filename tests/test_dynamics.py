@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +13,6 @@ from projflow import (
     constrained_field,
     diagonal_system,
     integrate,
-    multipliers,
     product_surface_sample,
     sample_interior_point,
     schrodinger_field,
@@ -19,6 +20,7 @@ from projflow import (
 from projflow.geometry import BOUNDARY_MARGIN
 
 import closedforms as cf
+from closedforms import multipliers, trajectory_point
 
 
 def wrapped_gap(a, b):
@@ -185,7 +187,7 @@ class TestIntegrate:
         traj = integrate(spin, ChartPoint([0.9], [0.3]), 1.0, 0.01)
         assert np.all(np.diff(traj.times) > 0)
         for i in range(len(traj)):
-            assert traj.point(i).margin > 0
+            assert trajectory_point(traj, i).margin > 0
 
     def test_final_partial_step_lands_on_t_end(self, spin):
         traj = integrate(spin, ChartPoint([0.9], [0.3]), 0.025, 0.01)
@@ -231,12 +233,22 @@ class TestIntegrate:
         traj = integrate(system, ChartPoint([0.0], [0.5]), 60.0, 0.01, constraints=(phi,), projection=projection)
         assert traj.exit_flag == "boundary"
         assert 1 < len(traj) and traj.times[-1] < 60.0
-        assert min(traj.point(i).margin for i in range(len(traj))) >= BOUNDARY_MARGIN
+        assert min(trajectory_point(traj, i).margin for i in range(len(traj))) >= BOUNDARY_MARGIN
 
     def test_singular_truncation(self, spin):
         # the constraint gradient vanishes at (q, p) = (0, 1/2)
         traj = integrate(spin, ChartPoint([0.0], [0.5]), 1.0, 0.01)
         assert traj.exit_flag == "singular"
+        assert len(traj) == 1
+
+    @pytest.mark.parametrize("constraints", [None, ()])
+    def test_non_finite_field_truncates_boundary(self, constraints):
+        # a NaN field makes the next stage point non-finite, which lies in
+        # no chart; the run stops there instead of raising
+        nan_grad = algebraic_constraint("H", lambda pt: 0.0, lambda pt: np.full(2 * pt.m, np.nan))
+        system = replace(diagonal_system(2, [1.0, 0.0]), hamiltonian=nan_grad)
+        traj = integrate(system, ChartPoint([0.9], [0.3]), 1.0, 0.01, constraints=constraints)
+        assert traj.exit_flag == "boundary"
         assert len(traj) == 1
 
     def test_non_finite_gram_truncates_singular(self, spin):

@@ -15,10 +15,10 @@ from projflow import (
     modified_symplectic,
     product_surface_sample,
     sample_interior_point,
-    single_constraint_orthogonality,
     tau_analysis,
 )
 import closedforms as cf
+from closedforms import single_constraint_orthogonality
 from conftest import frame_and_geometry, spin_grid
 
 

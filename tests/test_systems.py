@@ -51,6 +51,11 @@ class TestTwoQubitSystem:
         system = system_from_name("two-qubit-product", energies=[5.0, 1.0, 2.0, 3.0])
         assert_allclose(cf.gaps(system), [2.0, -2.0, -1.0])
 
+    @pytest.mark.parametrize("energies", [[1.0, 2.0, 0.0], [1.0, 2.0, 3.0, 4.0, 0.0]])
+    def test_energy_count_checked(self, energies):
+        with pytest.raises(ValueError, match="exactly four energies"):
+            system_from_name("two-qubit-product", energies=energies)
+
     def test_chart_dim(self, two_qubit):
         assert two_qubit.chart_dim == 6
 

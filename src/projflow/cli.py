@@ -27,7 +27,7 @@ from .constraints import diagonal_observable, gram_covariance_check, observable_
 from .dynamics import constrained_field, integrate
 from .equivalence import equivalence_report
 from .errors import ChartDomainError, ConfigError, SingularGramError
-from .geometry import ChartPoint, canonical_omega, geometry_at, nijenhuis_residual, require_interior
+from .geometry import ChartPoint, canonical_omega, geometry_at, nijenhuis_residual
 from .systems import (
     AngularPoint,
     SystemDefinition,
@@ -128,7 +128,6 @@ def _chart_point(spec, pairs: int, what: str) -> ChartPoint:
         point = ChartPoint(np.asarray(spec["q"], float), np.asarray(spec["p"], float))
         if point.m != pairs:
             raise ValueError("%d pairs where the system needs %d" % (point.m, pairs))
-        require_interior(point)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("bad %s: %s" % (what, exc))
     return point
@@ -170,7 +169,9 @@ def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunCo
     if raw.get("initial_point") is not None:
         cfg.initial_point = _chart_point(raw["initial_point"], pairs, "initial_point")
     points = _entry(raw, "points", None, (list, type(None)), "a list")
-    if points:
+    if points is not None:
+        if not points:
+            raise ConfigError("points must be a non-empty list; omit it to sample num_points points")
         cfg.points = [_chart_point(p, pairs, "points entry") for p in points]
     cfg.grid = raw.get("grid")
     cfg.num_points = _entry(raw, "num_points", 50, int, "an integer")

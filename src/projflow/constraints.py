@@ -57,6 +57,8 @@ class Constraint:
     matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if not callable(self.fn):
+            raise TypeError("constraint %r needs a value function" % self.name)
         if not callable(self.grad):
             raise TypeError("constraint %r needs a gradient function" % self.name)
 

@@ -32,9 +32,11 @@ import numpy as np
 
 from .constraints import Constraint, constraint_frame, resolve_constraints
 from .errors import ChartDomainError, SingularGramError
-from .geometry import ChartPoint, require_interior
+from .geometry import ChartPoint
 
 PROJECTION_TOL = 1e-10
+# Newton corrections allowed per step before the run truncates.
+NEWTON_MAX = 5
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,7 @@ class Trajectory:
 def schrodinger_field(point: ChartPoint, system) -> np.ndarray:
     """Unconstrained flow omega^{ab} grad_b H = (grad_p H, -grad_q H); in
     these coordinates the conventional Hamilton equations qdot = Omega,
-    pdot = 0.  Guarded like geometry_at."""
-    require_interior(point)
+    pdot = 0."""
     grad = system.hamiltonian.gradient(point)
     return np.concatenate([grad[point.m:], -grad[:point.m]])
 
@@ -89,7 +90,6 @@ def integrate(
     *,
     constraints: Optional[Sequence[Constraint]] = None,
     projection: bool = True,
-    newton_max: int = 5,
 ) -> Trajectory:
     """Fixed-step RK4 integration of the (constrained) flow.
 
@@ -97,24 +97,22 @@ def integrate(
     final shorter step landing exactly on t_end); each sample carries the
     raw constraint values and the energy.  Constrained runs preserve the
     constraint values of the start point: with projection on (the default;
-    it has no effect without constraints) up to newton_max Newton
+    it has no effect without constraints) up to NEWTON_MAX Newton
     corrections along the metric normals g^{-1} grad Phi pull the values
     back to the initial ones after every step.
 
-    The start point must lie inside the guarded chart (require_interior).
-    If a stage point, a step or a projected point leaves it, or is not
+    Every stage point, step and projected point is a ChartPoint, so it is
+    guarded when it is built.  If one leaves the guarded chart, or is not
     finite (a NaN or overflowing field), the trajectory is truncated with
     exit_flag "boundary"; a singular constraint Gram matrix en route
     truncates with "singular"; a step whose constraint residual is still
-    at or above PROJECTION_TOL after newton_max corrections truncates with
+    at or above PROJECTION_TOL after NEWTON_MAX corrections truncates with
     "projection".  Truncation drops the offending step.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError("t_end must be nonnegative and finite")
-    if isinstance(newton_max, bool) or not isinstance(newton_max, int) or newton_max < 0:
-        raise ValueError("newton_max must be a nonnegative integer")
     cons = resolve_constraints(system, constraints)
     ham = system.hamiltonian
 
@@ -124,19 +122,18 @@ def integrate(
     def measure(pt: ChartPoint) -> np.ndarray:
         return np.array([c.value(pt) for c in cons])
 
-    require_interior(x0)
     targets = measure(x0)
 
     def project(pt: ChartPoint):
         """Newton-correct pt onto the start level set; returns the point
-        and its constraint values, or None if newton_max corrections leave
+        and its constraint values, or None if NEWTON_MAX corrections leave
         the residual at or above PROJECTION_TOL."""
-        for i in range(newton_max + 1):
+        for i in range(NEWTON_MAX + 1):
             phi = measure(pt)
             residual = phi - targets
             if np.abs(residual).max() < PROJECTION_TOL:
                 return pt, phi
-            if i == newton_max:
+            if i == NEWTON_MAX:
                 return None
             frame = constraint_frame(cons, pt)
             pt = ChartPoint.from_coords(pt.coords() - frame.normals.T @ (frame.gram_inv @ residual))
@@ -156,14 +153,12 @@ def integrate(
             k3 = field(x + 0.5 * h * k2)
             k4 = field(x + h * k3)
             point = ChartPoint.from_coords(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-            require_interior(point)
             if projection and cons:
                 projected = project(point)
                 if projected is None:
                     flag = "projection"
                     break
                 point, measured = projected
-                require_interior(point)
             else:
                 measured = measure(point)
         except SingularGramError:

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import ConstraintFrame, constraint_frame, resolve_constraints
+from .constraints import ConstraintFrame, constraint_frame
 from .geometry import ChartPoint, PointGeometry, canonical_omega, geometry_at
 
 EQUIVALENCE_TOL = 1e-8
@@ -139,11 +139,11 @@ def annihilation_check(frame: Optional[ConstraintFrame], geom: PointGeometry):
     return right, left
 
 
-def equivalence_report(point: ChartPoint, system, constraints=None) -> EquivalenceReport:
+def equivalence_report(point: ChartPoint, system) -> EquivalenceReport:
     """Evaluate every diagnostic at one point and render the verdict at
     EQUIVALENCE_TOL, from one geometry evaluation and one constraint frame
-    of the given constraints, or of the system's own when none are given."""
-    cons = resolve_constraints(system, constraints)
+    of the system's constraints."""
+    cons = system.constraints
     geom = geometry_at(point)
     frame = constraint_frame(cons, point) if cons else None
     j_res = j_invariance_residual(frame, geom) if cons else 0.0

@@ -6,8 +6,9 @@ class ChartDomainError(ValueError):
 
 
 class DegenerateGeometryError(ChartDomainError):
-    """The metric is numerically singular: the point sits within the guard
-    margin of the chart boundary, where 1/p entries of g blow up."""
+    """Raised by the ChartPoint guard: the point would sit closer than
+    BOUNDARY_MARGIN to the chart boundary, where the 1/p entries of the
+    metric and its inverse blow up."""
 
 
 class SingularGramError(RuntimeError):

@@ -37,51 +37,71 @@ points is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateGeometryError
 
-# Points closer than this to the chart boundary are rejected by
-# require_interior, and so by every geometry and field evaluation: g and
-# g^{-1} carry 1/p_nu and 1/(1 - sum p) entries.
+# The chart guard in ChartPoint keeps min(p_nu, 1 - sum p) at or above this
+# margin, since g and g^{-1} carry 1/p_nu and 1/(1 - sum p) entries; no
+# geometry, field or embedding evaluation checks the chart domain again.
 BOUNDARY_MARGIN = 1e-9
+NIJENHUIS_STEP = 1e-5  # coordinate step of the centred differences in nijenhuis_tensor
 
 
 @dataclass(frozen=True)
 class ChartPoint:
-    """Action-angle coordinates of a pure state.
+    """Action-angle coordinates of a pure state inside the guarded chart.
 
-    q: relative phases in radians, length n-1 (unwrapped values allowed).
-    p: squared amplitudes, length n-1; inside the chart each p_nu lies in
-       (0, 1) and sum(p) < 1, leaving a positive residual amplitude.
+    q:      relative phases in radians, length n-1 (unwrapped values allowed).
+    p:      squared amplitudes, length n-1.
+    p_last: the residual weight p_n = 1 - sum(p).
+
+    ChartPoint(q, p) and ChartPoint.from_coords(x) both run the one chart
+    guard and keep a read-only copy of the coordinates.
     """
 
     q: np.ndarray
     p: np.ndarray
+    p_last: float = field(init=False, repr=False)
 
     def __post_init__(self):
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
         p = np.atleast_1d(np.asarray(self.p, dtype=float))
         if q.ndim != 1 or p.ndim != 1 or q.shape != p.shape:
-            raise ValueError("q and p must be 1-d arrays of equal length")
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            raise ValueError("coordinates must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+            raise ChartDomainError("q and p must be 1-d arrays of equal length")
+        self._guard(np.concatenate([q, p]))
 
     @classmethod
     def from_coords(cls, x) -> "ChartPoint":
-        """Build from a flat coordinate vector (q-block, then p-block).  A
-        non-finite entry lies in no chart and raises ChartDomainError."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size % 2 or not np.isfinite(x).all():
-            raise ChartDomainError("coordinates must be a finite 1-d array of even length")
+        """Build from a flat coordinate vector (q-block, then p-block)."""
+        x = np.array(x, dtype=float)
+        if x.ndim != 1 or x.size % 2:
+            raise ChartDomainError("coordinates must be a 1-d array of even length")
         point = object.__new__(cls)
-        object.__setattr__(point, "q", x[: x.size // 2])
-        object.__setattr__(point, "p", x[x.size // 2 :])
+        point._guard(x)
         return point
+
+    def _guard(self, x: np.ndarray) -> None:
+        """The chart guard.  The fresh flat coordinate vector x must be
+        finite with at least one pair (else ChartDomainError), and every p_nu
+        and p_last must be at least BOUNDARY_MARGIN (else
+        DegenerateGeometryError).  x becomes read-only, and so do its views
+        q and p."""
+        m = x.size // 2
+        if m == 0 or not np.isfinite(x).all():
+            raise ChartDomainError("coordinates must be finite, with at least one pair")
+        x.setflags(write=False)
+        p = x[m:]
+        p_last = 1.0 - float(p.sum())
+        margin = min(float(p.min()), p_last)
+        if margin < BOUNDARY_MARGIN:
+            raise DegenerateGeometryError("chart-boundary guard: margin %.3e below %.0e"
+                                          % (margin, BOUNDARY_MARGIN))
+        object.__setattr__(self, "q", x[:m])
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p_last", p_last)
 
     def coords(self) -> np.ndarray:
         return np.concatenate([self.q, self.p])
@@ -93,8 +113,9 @@ class ChartPoint:
 
     @property
     def margin(self) -> float:
-        """Signed distance from the open-chart boundary in the p variables."""
-        return float(min(self.p.min(), 1.0 - self.p.sum()))
+        """Distance from the open-chart boundary in the p variables; at
+        least BOUNDARY_MARGIN."""
+        return min(float(self.p.min()), self.p_last)
 
 
 @dataclass(frozen=True)
@@ -159,14 +180,9 @@ def chart_amplitudes(point: ChartPoint, n: int | None = None) -> np.ndarray:
     m = point.m
     if n is not None and n != m + 1:
         raise ValueError("chart has %d pairs but an n = %d system needs %d" % (m, n, n - 1))
-    p_last = 1.0 - point.p.sum()
-    if np.any(point.p <= 0.0) or p_last <= 0.0:
-        raise ChartDomainError(
-            "point outside the open chart: need every p_nu > 0 and sum(p) < 1"
-        )
     amp = np.empty(m + 1, dtype=complex)
     amp[:m] = np.sqrt(point.p) * np.exp(-1j * point.q)
-    amp[m] = np.sqrt(p_last)
+    amp[m] = np.sqrt(point.p_last)
     return amp
 
 
@@ -174,65 +190,44 @@ def embed(point: ChartPoint, n: int | None = None) -> StateVector:
     """Map a chart point to its state vector.
 
     The component psi^nu carries modulus sqrt(p_nu) and phase -q_nu; the
-    residual amplitude sqrt(1 - sum p) sits on the last basis vector and is
+    residual amplitude sqrt(p_last) sits on the last basis vector and is
     real positive, which fixes the overall phase of the representative.
+    Every ChartPoint lies inside the guarded chart, so only a pair count
+    that does not match n raises (ValueError).
     """
     return StateVector(chart_amplitudes(point, n))
 
 
 def chart_from_state(state: StateVector) -> ChartPoint:
-    """Invert the embedding.  Requires every amplitude to be nonzero; the
-    returned angles lie in [0, 2*pi)."""
+    """Invert the embedding; the returned angles lie in [0, 2*pi).
+
+    A normalised weight |psi^alpha|^2 below BOUNDARY_MARGIN, a vanishing
+    amplitude included, fails the ChartPoint guard: DegenerateGeometryError.
+    """
     amp = state.amplitudes
     weights = np.abs(amp) ** 2
-    if np.any(weights <= 0.0):
-        raise ChartDomainError("state has a vanishing amplitude; outside the chart")
     p = weights[:-1] / weights.sum()
     q = np.mod(-(np.angle(amp[:-1]) - np.angle(amp[-1])), 2.0 * np.pi)
     return ChartPoint(q, p)
 
 
-def require_interior(point: ChartPoint) -> float:
-    """Return the residual weight p_n = 1 - sum(p) of a point inside the
-    guarded chart.
-
-    Raises DegenerateGeometryError within BOUNDARY_MARGIN of the chart
-    boundary, where the metric (and its inverse) blow up.
-    """
-    p_last = 1.0 - float(point.p.sum())
-    margin = min(float(point.p.min()), p_last)
-    if margin < BOUNDARY_MARGIN:
-        raise DegenerateGeometryError(
-            "chart-boundary guard: margin %.3e below %.0e" % (margin, BOUNDARY_MARGIN)
-        )
-    return p_last
-
-
 def apply_g_inv(point: ChartPoint, v) -> np.ndarray:
     """Raise the index of a covector, g^{ab} v_b, in O(n) from the closed
-    form of g^{-1}.  A matrix argument is treated column by column.
-
-    Guarded like geometry_at.
-    """
-    p_last = require_interior(point)
+    form of g^{-1}.  A matrix argument is treated column by column."""
     v = np.asarray(v, dtype=float)
     m = point.m
     p = point.p.reshape((m,) + (1,) * (v.ndim - 1))
     vq, vp = v[:m], v[m:]
     out = np.empty_like(v)
-    out[:m] = 0.25 * (vq / p + vq.sum(axis=0) / p_last)
+    out[:m] = 0.25 * (vq / p + vq.sum(axis=0) / point.p_last)
     out[m:] = p * (vp - point.p @ vp)
     return out
 
 
 def geometry_at(point: ChartPoint) -> PointGeometry:
     """Assemble every point tensor of the chart geometry from its closed
-    form, entry by entry.
-
-    Raises DegenerateGeometryError within BOUNDARY_MARGIN of the chart
-    boundary (see require_interior).
-    """
-    p_last = require_interior(point)
+    form, entry by entry."""
+    p_last = point.p_last
     p = point.p
     m = point.m
     diag = np.arange(m)
@@ -253,7 +248,7 @@ def geometry_at(point: ChartPoint) -> PointGeometry:
     return PointGeometry(g, g_inv, j)
 
 
-def nijenhuis_tensor(point: ChartPoint, step: float = 1e-5) -> np.ndarray:
+def nijenhuis_tensor(point: ChartPoint) -> np.ndarray:
     """Discretised integrability obstruction of the complex structure,
 
         N^c_ab = J^c_d d_[a J^d_b] - J^d_[a d_|d| J^c_b],
@@ -261,8 +256,8 @@ def nijenhuis_tensor(point: ChartPoint, step: float = 1e-5) -> np.ndarray:
     with coordinate partials in place of covariant derivatives (the
     combination is independent of the choice of symmetric connection).
     Returned with index layout N[c, a, b]; it is antisymmetric in (a, b)
-    by construction.  The finite-difference stencil point +- step along
-    every coordinate must stay inside the chart.
+    by construction.  The finite-difference stencil point +- NIJENHUIS_STEP
+    along every coordinate must stay inside the guarded chart.
     """
     dim = 2 * point.m
     x0 = point.coords()
@@ -270,19 +265,20 @@ def nijenhuis_tensor(point: ChartPoint, step: float = 1e-5) -> np.ndarray:
     for a in range(dim):
         xp = x0.copy()
         xm = x0.copy()
-        xp[a] += step
-        xm[a] -= step
+        xp[a] += NIJENHUIS_STEP
+        xm[a] -= NIJENHUIS_STEP
         jp = geometry_at(ChartPoint.from_coords(xp)).j
         jm = geometry_at(ChartPoint.from_coords(xm)).j
-        dj[a] = (jp - jm) / (2.0 * step)
+        dj[a] = (jp - jm) / (2.0 * NIJENHUIS_STEP)
     j = geometry_at(point).j
     t1 = np.einsum("cd,adb->cab", j, dj)
     t2 = np.einsum("da,dcb->cab", j, dj)
     return 0.5 * (t1 - t1.transpose(0, 2, 1)) - 0.5 * (t2 - t2.transpose(0, 2, 1))
 
 
-def nijenhuis_residual(point: ChartPoint, step: float = 1e-5) -> float:
+def nijenhuis_residual(point: ChartPoint) -> float:
     """Max-norm of the discretised Nijenhuis tensor; approximately zero
-    (up to O(step^2) finite-difference error) on an integrable structure."""
-    return float(np.abs(nijenhuis_tensor(point, step)).max())
+    (up to O(NIJENHUIS_STEP^2) finite-difference error) on an integrable
+    structure."""
+    return float(np.abs(nijenhuis_tensor(point)).max())
 

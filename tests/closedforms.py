@@ -150,8 +150,6 @@ def embed_jacobian(point):
     """
     m = point.m
     p_last = 1.0 - point.p.sum()
-    if np.any(point.p <= 0.0) or p_last <= 0.0:
-        raise ChartDomainError("cannot differentiate the embedding outside the chart")
     phase = np.exp(-1j * point.q)
     sqrt_p = np.sqrt(point.p)
     dpsi = np.zeros((2 * m, m + 1), dtype=complex)

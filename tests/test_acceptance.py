@@ -265,7 +265,7 @@ def test_criterion_09_geometry_invariant_suite():
                 float(np.abs(geom.g_inv @ big_omega @ geom.g_inv @ big_omega.T - eye).max()),
                 float(np.abs(0.5 * big_omega - canonical).max()),
             )
-            worst_nij = max(worst_nij, nijenhuis_residual(pt, step=1e-5))
+            worst_nij = max(worst_nij, nijenhuis_residual(pt))
     elapsed = time.perf_counter() - start
     ok = worst_alg < 1e-10 and worst_nij < 1e-4 and elapsed < 10.0
     report(

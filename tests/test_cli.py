@@ -210,6 +210,7 @@ class TestConfigErrors:
         [
             ("check", {"system": {"name": "spin-half-sx"}, "points": [{"q": [0.1, 0.2], "p": [0.3, 0.2]}]}),
             ("check", {"system": {"name": "spin-half-sx"}, "points": [{"q": [0.1], "p": [1.5]}]}),
+            ("check", {"system": {"name": "spin-half-sx"}, "points": [], "num_points": 3}),
             ("field", {"system": {"name": "spin-half-sx"}, "grid": [1, 2], "output_path": "unused.csv"}),
             ("check", {"system": {"name": "diagonal", "n": 2, "energies": [1.0, 0.0], "constraints": 5}}),
             ("check", {"system": {"name": "diagonal", "n": 2, "energies": [1.0, 0.0], "constraints": [1]}}),
@@ -225,7 +226,7 @@ class TestConfigErrors:
                        "output_path": "unused.csv"}),
             ("simulate", {**NAN_OBSERVABLE, "initial_point": {"q": [0.9], "p": [0.3]}, "output_path": "unused.csv"}),
         ],
-        ids=["point-pairs", "point-outside-chart", "grid-not-object", "constraints-not-list",
+        ids=["point-pairs", "point-outside-chart", "points-empty", "grid-not-object", "constraints-not-list",
              "constraint-not-object", "observable-not-n-by-n", "n-not-integer", "observable-pairs-not-hermitian",
              "observable-not-finite-check", "observable-not-finite-field", "observable-not-finite-simulate"],
     )

@@ -57,6 +57,11 @@ class TestConstraint:
         with pytest.raises(TypeError, match="'curvy' needs a gradient"):
             algebraic_constraint("curvy", curvy, None)
 
+    def test_algebraic_without_value_rejected(self):
+        # rejected when built, not at the first .value
+        with pytest.raises(TypeError, match="'flat' needs a value function"):
+            algebraic_constraint("flat", None, lambda pt: np.zeros(2 * pt.m))
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             observable_constraint(np.array([[0.0, 1.0], [0.0, 0.0]]))

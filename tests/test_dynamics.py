@@ -17,6 +17,7 @@ from projflow import (
     sample_interior_point,
     schrodinger_field,
 )
+from projflow import dynamics
 from projflow.geometry import BOUNDARY_MARGIN
 
 import closedforms as cf
@@ -58,11 +59,10 @@ class TestSchrodingerField:
         # residual weight 1e-10, inside the margin, though the point is in
         # the open chart; RK4 stage points rely on this guard
         system = diagonal_system(3, [1.0, 2.0, 0.0])
-        inside = ChartPoint([0.0, 0.1], [0.5, 0.5 - 1e-10])
         with pytest.raises(DegenerateGeometryError):
-            schrodinger_field(inside, system)
+            schrodinger_field(ChartPoint([0.0, 0.1], [0.5, 0.5 - 1e-10]), system)
         with pytest.raises(DegenerateGeometryError):
-            constrained_field(inside, system, ())
+            constrained_field(ChartPoint.from_coords([0.0, 0.1, 0.5, 0.5 - 1e-10]), system, ())
 
 
 class TestMultipliers:
@@ -202,12 +202,14 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="finite"):
             integrate(spin, ChartPoint([0.9], [0.3]), t_end, dt)
 
-    def test_unconverged_projection_truncates(self, spin):
+    def test_unconverged_projection_truncates(self, spin, monkeypatch):
         # one Newton correction per step of 0.2 leaves the sigma_x residual
         # above the tolerance; unflagged, this run ended "completed" with a
         # drift of 2.7e-8
         x0 = ChartPoint([0.9], [0.3])
-        traj = integrate(spin, x0, 3.0, 0.2, newton_max=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "NEWTON_MAX", 1)
+            traj = integrate(spin, x0, 3.0, 0.2)
         assert traj.exit_flag == "projection"
         assert len(traj) < 16
         assert np.abs(traj.constraint_values - traj.constraint_values[0]).max() < 1e-10
@@ -256,11 +258,6 @@ class TestIntegrate:
         traj = integrate(spin, ChartPoint([0.9], [0.3]), 1.0, 0.01, constraints=(nan_grad,))
         assert traj.exit_flag == "singular"
         assert len(traj) == 1
-
-    @pytest.mark.parametrize("newton_max", [-1, 2.5])
-    def test_invalid_newton_max(self, spin, newton_max):
-        with pytest.raises(ValueError, match="newton_max"):
-            integrate(spin, ChartPoint([0.9], [0.3]), 1.0, 0.01, newton_max=newton_max)
 
     def test_fixed_point_stays_exactly(self, spin):
         traj = integrate(spin, ChartPoint([np.pi / 2], [0.25]), 1.0, 0.01)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -239,7 +241,7 @@ class TestReport:
         assert rep.tau_sign is None
 
     def test_empty_constraint_set_reports_zeros(self, spin):
-        rep = equivalence_report(ChartPoint([1.1], [0.33]), spin, ())
+        rep = equivalence_report(ChartPoint([1.1], [0.33]), replace(spin, constraints=()))
         assert rep.to_dict() == {
             "j_invariance_residual": 0.0,
             "right_annihilation_residual": 0.0,

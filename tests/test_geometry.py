@@ -84,6 +84,12 @@ class TestEmbed:
         with pytest.raises(ChartDomainError):
             chart_from_state(StateVector([1.0, 0.0]))
 
+    @pytest.mark.parametrize("amplitudes", [[1e-5, 1.0, 0.5], [1.0, 0.5j, 1e-5]])
+    def test_extraction_rejects_weight_below_margin(self, amplitudes):
+        # a normalised weight of about 8e-11, nonzero but under the guard
+        with pytest.raises(DegenerateGeometryError):
+            chart_from_state(StateVector(amplitudes))
+
 
 class TestJacobian:
     def test_matches_finite_differences(self, rng):
@@ -230,19 +236,19 @@ class TestClosedForm:
 
 class TestNijenhuis:
     def test_two_level_flat(self):
-        assert nijenhuis_residual(ChartPoint([0.0], [0.5]), step=1e-5) < 1e-4
+        assert nijenhuis_residual(ChartPoint([0.0], [0.5])) < 1e-4
 
     def test_four_level_center(self):
         pt = ChartPoint([0.0, 0.0, 0.0], [0.25, 0.25, 0.25])
-        assert nijenhuis_residual(pt, step=1e-5) < 1e-4
+        assert nijenhuis_residual(pt) < 1e-4
 
     def test_antisymmetry_exact(self, rng):
-        tensor = nijenhuis_tensor(sample_interior_point(rng, 2), step=1e-5)
+        tensor = nijenhuis_tensor(sample_interior_point(rng, 2))
         assert np.abs(tensor + tensor.transpose(0, 2, 1)).max() == 0.0
 
     def test_stencil_outside_chart(self):
         with pytest.raises(ChartDomainError):
-            nijenhuis_residual(ChartPoint([0.0], [1e-6]), step=1e-5)
+            nijenhuis_residual(ChartPoint([0.0], [1e-6]))
 
 
 class TestTypeDecompose:

@@ -10,6 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from projflow import (
+    ChartDomainError,
+    ChartPoint,
+    DegenerateGeometryError,
     SingularGramError,
     constrained_field,
     constraint_frame,
@@ -22,6 +25,7 @@ from projflow import (
     observable_constraint,
     sample_interior_point,
 )
+from projflow.geometry import BOUNDARY_MARGIN
 
 import closedforms as cf
 
@@ -89,6 +93,53 @@ def test_gram_equals_covariance(n, seed):
     system, pt, _ = draw(n, seed)
     scale = np.abs(constraint_frame(system.constraints, pt).gram).max()
     assert gram_covariance_check(system.constraints, pt) <= 1e-10 * scale
+
+
+@examples
+@given(st.integers(min_value=1, max_value=12), seeds,
+       st.sampled_from(["interior", "p-at-margin", "p-below-margin", "last-near-margin", "non-finite"]))
+@example(1, 0, "p-at-margin")
+@example(1, 0, "p-below-margin")
+def test_chart_point_guard(pairs, seed, case):
+    """Both constructors accept a point exactly when it is finite with
+    margin min(p.min(), 1 - sum p) >= BOUNDARY_MARGIN, agree on p_last, and
+    keep a read-only copy of the coordinates."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-10.0, 10.0, size=pairs)
+    weights = rng.uniform(0.2, 1.0, size=pairs + 1)
+    p = weights[:pairs] / weights.sum()
+    below = np.nextafter(BOUNDARY_MARGIN, 0.0)
+    k = rng.integers(pairs)
+    if case == "p-at-margin":
+        p[k] = BOUNDARY_MARGIN
+    elif case == "p-below-margin":
+        p[k] = below
+    elif case == "last-near-margin":
+        # 1 - sum(p) lands within roundoff of the margin, on either side
+        p[k] += 1.0 - p.sum() - rng.choice([BOUNDARY_MARGIN, below])
+    x = np.concatenate([q, p])
+    if case == "non-finite":
+        x[rng.integers(2 * pairs)] = rng.choice([np.nan, np.inf, -np.inf])
+        q, p = x[:pairs].copy(), x[pairs:].copy()
+    p_last = 1.0 - p.sum()
+    if not (np.isfinite(x).all() and min(p.min(), p_last) >= BOUNDARY_MARGIN):
+        error = DegenerateGeometryError if np.isfinite(x).all() else ChartDomainError
+        with pytest.raises(error):
+            ChartPoint(q, p)
+        with pytest.raises(error):
+            ChartPoint.from_coords(x)
+        return
+    kept = x.copy()
+    points = (ChartPoint(q, p), ChartPoint.from_coords(x))
+    assert points[0].p_last == points[1].p_last == p_last
+    for source in (q, p, x):
+        source[...] = 5.0
+    for pt in points:
+        assert np.array_equal(pt.coords(), kept)
+        with pytest.raises(ValueError):
+            pt.p[0] = 0.5
+        with pytest.raises(ValueError):
+            pt.q[0] = 0.5
 
 
 @examples

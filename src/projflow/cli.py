@@ -26,16 +26,16 @@ import numpy as np
 from .constraints import diagonal_observable, gram_covariance_check, observable_constraint
 from .dynamics import constrained_field, integrate
 from .equivalence import equivalence_report
-from .errors import ChartDomainError, ConfigError, SingularGramError
-from .geometry import ChartPoint, canonical_omega, geometry_at, nijenhuis_residual
+from .errors import ChartDomainError, ConfigError
+from .geometry import ChartPoint, canonical_omega, geometry_at, inside_chart, nijenhuis_residual
 from .systems import (
-    AngularPoint,
     SystemDefinition,
-    from_angular,
+    angular_coords,
     product_surface_sample,
     pushforward_to_angular,
     sample_interior_point,
     system_from_name,
+    with_constraints,
 )
 
 # Singular fixed points of the conserved-sigma_x example in (q, p); grids and
@@ -43,6 +43,10 @@ from .systems import (
 SPIN_SINGULAR_POINTS = ((0.0, 0.5), (math.pi, 0.5), (2.0 * math.pi, 0.5))
 VALIDATE_TOL = 1e-8
 VALIDATE_NIJENHUIS_TOL = 1e-4
+# check and validate evaluate their points in batches of at most about this
+# many entries of a per-point tensor stack, so that peak memory stays flat
+# in the number of points at any n
+BATCH_ENTRIES = 2 ** 16
 
 
 def _fmt(x: float) -> str:
@@ -150,12 +154,10 @@ def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunCo
     n = _entry(sysspec, "n", None, (int, type(None)), "an integer")
     specs = _entry(sysspec, "constraints", [], list, "a list")
     try:
-        system = system_from_name(
-            sysspec["name"],
-            energies=sysspec.get("energies"),
-            n=n,
-            constraints=tuple(_build_constraint(c, n or 2) for c in specs),
-        )
+        system = system_from_name(sysspec["name"], energies=sysspec.get("energies"), n=n)
+        if specs:
+            # the generator runs only once with_constraints accepts the system
+            system = with_constraints(system, (_build_constraint(c, system.n) for c in specs))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
@@ -274,27 +276,30 @@ def cmd_field(cfg: RunConfig) -> int:
         header = "theta,phi,theta_dot,phi_dot,flag"
         axes = (_grid_axis(grid, "theta", 1e-12, math.pi - 1e-12),
                 _grid_axis(grid, "phi", 0.0, 2.0 * math.pi))
-
-        def rates(theta, phi):
-            point = from_angular(AngularPoint(theta, phi))
-            return pushforward_to_angular(point, constrained_field(point, system))
     elif kind == "chart":
         header = "q,p,q_dot,p_dot,flag"
         axes = (_grid_axis(grid, "q", -2.0 * math.pi, 2.0 * math.pi),
                 _grid_axis(grid, "p", 1e-12, 1.0 - 1e-12))
-
-        def rates(q, p):
-            return constrained_field(ChartPoint([q], [p]), system)
     else:
         raise ConfigError("unknown grid kind %r" % kind)
+    nodes = np.empty((axes[0].size, axes[1].size, 2))
+    nodes[..., 0], nodes[..., 1] = axes[0][:, None], axes[1]
+    nodes = nodes.reshape(-1, 2)
+    coords = angular_coords(nodes[:, 0], nodes[:, 1]) if kind == "angular" else nodes
+    # Nodes outside the guarded chart, and singular points, whose field rows
+    # are NaN, read "singular".
+    rates = np.full(nodes.shape, np.nan)
+    inside = inside_chart(coords)
+    if inside.any():
+        point = ChartPoint.from_coords(coords[inside])
+        field = constrained_field(point, system)
+        rates[inside] = np.stack(pushforward_to_angular(point, field), axis=-1) if kind == "angular" else field
     lines = [header]
-    for a in axes[0]:
-        for b in axes[1]:
-            try:
-                row = [_fmt(a), _fmt(b)] + [_fmt(v) for v in rates(a, b)] + ["ok"]
-            except (SingularGramError, ChartDomainError):
-                row = [_fmt(a), _fmt(b), "nan", "nan", "singular"]
-            lines.append(",".join(row))
+    for (a, b), rate in zip(nodes, rates):
+        if np.isfinite(rate).all():
+            lines.append(",".join([_fmt(a), _fmt(b), _fmt(rate[0]), _fmt(rate[1]), "ok"]))
+        else:
+            lines.append(",".join([_fmt(a), _fmt(b), "nan", "nan", "singular"]))
     _write_text(cfg.output_path, "\n".join(lines) + "\n")
     print("wrote %d field rows -> %s" % (len(lines) - 1, cfg.output_path))
     return 0
@@ -322,22 +327,35 @@ def _check_points(cfg: RunConfig) -> list:
     return points
 
 
+def _batches(points: list, entries_per_point: int):
+    """The chart points of a list as consecutive batches of at most
+    BATCH_ENTRIES // entries_per_point points, and at least one."""
+    size = max(1, BATCH_ENTRIES // entries_per_point)
+    for start in range(0, len(points), size):
+        yield ChartPoint.from_coords(np.array([pt.coords() for pt in points[start:start + size]]))
+
+
 def cmd_check(cfg: RunConfig) -> int:
     system = cfg.system
     if not system.constraints:
         raise ConfigError("check needs a system with constraints")
+    points = _check_points(cfg)
+    dim = 2 * (system.n - 1)
+    point_reports = []
+    for batch in _batches(points, dim * dim):
+        report = equivalence_report(batch, system)
+        point_reports += [report[i] for i in range(len(batch.p))]
     reports = []
     singular = 0
     verdicts = []
-    for pt in _check_points(cfg):
+    for pt, rep in zip(points, point_reports):
         entry = {"q": list(pt.q), "p": list(pt.p)}
-        try:
-            rep = equivalence_report(pt, system)
-            entry.update(rep.to_dict())
-            verdicts.append(rep.verdict)
-        except SingularGramError:
+        if rep.verdict == "singular":
             entry["status"] = "singular"
             singular += 1
+        else:
+            entry.update(rep.to_dict())
+            verdicts.append(rep.verdict)
         reports.append(entry)
     aggregate = {
         "verdict": "equivalent" if verdicts and all(v == "equivalent" for v in verdicts) else "not_equivalent",
@@ -367,32 +385,38 @@ def _probe_observables(n: int):
     return [observable_constraint(ham, "probe-diag"), observable_constraint(flip, "probe-flip")]
 
 
+def _validate_residuals(points: ChartPoint, probes) -> dict:
+    """The worst residual of each validate check over a batch of points."""
+    geom = geometry_at(points)
+    g, g_inv, j = geom.g, geom.g_inv, geom.j
+    eye = np.eye(geom.dim)
+    big_omega = g @ j
+    residuals = {
+        "j_squared": j @ j + eye,
+        "hermitian_metric": j.mT @ g @ j - g,
+        # the two-form Omega = g J against its inverse g^{-1} Omega g^{-1},
+        # and omega = Omega / 2 against the canonical form
+        "two_form_inverse": g_inv @ big_omega @ g_inv @ big_omega.mT - eye,
+        "canonical_symplectic": 0.5 * big_omega - canonical_omega(points.m),
+        "nijenhuis": nijenhuis_residual(points),
+        "gram_covariance": gram_covariance_check(probes, points),
+    }
+    return {name: np.abs(residual).max() for name, residual in residuals.items()}
+
+
 def cmd_validate(cfg: RunConfig) -> int:
     system = cfg.system
     rng = np.random.default_rng(cfg.seed)
     pairs = system.n - 1
     dim = 2 * pairs
-    eye = np.eye(dim)
-    canonical = canonical_omega(pairs)
     probes = _probe_observables(system.n)
-    table = (
-        ("j_squared", VALIDATE_TOL, lambda pt, geom: np.abs(geom.j @ geom.j + eye).max()),
-        ("hermitian_metric", VALIDATE_TOL,
-         lambda pt, geom: np.abs(geom.j.T @ geom.g @ geom.j - geom.g).max()),
-        # the two-form Omega = g J against its inverse g^{-1} Omega g^{-1},
-        # and omega = Omega / 2 against the canonical form
-        ("two_form_inverse", VALIDATE_TOL,
-         lambda pt, geom: np.abs(geom.g_inv @ (geom.g @ geom.j) @ geom.g_inv @ (geom.g @ geom.j).T - eye).max()),
-        ("canonical_symplectic", VALIDATE_TOL,
-         lambda pt, geom: np.abs(0.5 * geom.g @ geom.j - canonical).max()),
-        ("nijenhuis", VALIDATE_NIJENHUIS_TOL, lambda pt, geom: nijenhuis_residual(pt)),
-        ("gram_covariance", VALIDATE_TOL, lambda pt, geom: gram_covariance_check(probes, pt)),
-    )
-    points = [sample_interior_point(rng, pairs) for _ in range(cfg.num_points)]
-    samples = [(pt, geometry_at(pt)) for pt in points]
+    samples = [sample_interior_point(rng, pairs) for _ in range(cfg.num_points)]
+    # a point's largest tensor stack is J over its 2 dim + 1 Nijenhuis stencil points
+    passes = [_validate_residuals(batch, probes) for batch in _batches(samples, (2 * dim + 1) * dim * dim)]
     checks = []
-    for name, tol, residual in table:
-        worst = max([0.0] + [float(residual(pt, geom)) for pt, geom in samples])
+    for name in passes[0]:
+        worst = float(np.max([residuals[name] for residuals in passes]))
+        tol = VALIDATE_NIJENHUIS_TOL if name == "nijenhuis" else VALIDATE_TOL
         checks.append({"name": name, "max_residual": worst, "tolerance": tol, "pass": worst < tol})
     all_pass = all(c["pass"] for c in checks)
     payload = {

@@ -11,6 +11,9 @@ the chart point.  For N constraints the Gram matrix
 collects the metric inner products of the gradients; for observable
 constraints it coincides with the (symmetrised) covariance matrix of the
 observables in the current state.
+
+Every built-in constraint, and the constraint frame, also evaluates a batch
+of points (a ChartPoint with a leading axis) in one array pass.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SingularGramError
-from .geometry import ChartPoint, StateVector, apply_g_inv, chart_amplitudes, embed
+from .geometry import ChartPoint, StateVector, apply_g_inv, chart_amplitudes
 
 # Gram matrices whose smallest singular value falls below this floor,
 # relative to max(1, sigma_max), are treated as singular.  This bounds the
@@ -48,7 +51,9 @@ class Constraint:
 
     An observable constraint carries its Hermitian matrix, or the weight
     vector w of a diagonal observable diag(w); an algebraic one has none.
-    Every constraint carries its analytic gradient.
+    Every constraint carries its analytic gradient.  Before a constraint is
+    used at a batch of points, fn and grad must broadcast over the leading
+    axis: a (B,) value and (B, 2m) gradient for q and p of shape (B, m).
     """
 
     name: str
@@ -68,8 +73,10 @@ class Constraint:
         matrix, "algebraic" otherwise."""
         return "algebraic" if self.matrix is None else "observable"
 
-    def value(self, point: ChartPoint) -> float:
-        return float(self.fn(point))
+    def value(self, point: ChartPoint):
+        """Phi at the point: a float, or a (B,) array at a batch."""
+        value = self.fn(point)
+        return float(value) if point.q.ndim == 1 else np.asarray(value, dtype=float)
 
     def gradient(self, point: ChartPoint) -> np.ndarray:
         return np.asarray(self.grad(point), dtype=float)
@@ -96,17 +103,17 @@ def observable_constraint(matrix, name="observable") -> Constraint:
     mat = _check_hermitian(matrix)
     n = mat.shape[0]
 
-    def value(point: ChartPoint) -> float:
+    def value(point: ChartPoint):
         amp = chart_amplitudes(point, n)
-        nrm = float(np.real(np.vdot(amp, amp)))
-        return float(np.real(np.vdot(amp, mat @ amp))) / nrm
+        return np.vecdot(amp, np.matvec(mat, amp)).real / np.vecdot(amp, amp).real
 
     def gradient(point: ChartPoint) -> np.ndarray:
         amp = chart_amplitudes(point, n)
-        acted = mat @ amp
-        residual = acted - np.real(np.vdot(amp, acted)) * amp
-        c = amp[:-1].conj() * residual[:-1]
-        return np.concatenate([-2.0 * c.imag, c.real / point.p - residual[-1].real / amp[-1].real])
+        acted = np.matvec(mat, amp)
+        residual = acted - np.vecdot(amp, acted, keepdims=True).real * amp
+        c = amp[..., :-1].conj() * residual[..., :-1]
+        last = residual[..., -1:].real / amp[..., -1:].real
+        return np.concatenate([-2.0 * c.imag, c.real / point.p - last], axis=-1)
 
     return Constraint(name=name, fn=value, grad=gradient, matrix=mat)
 
@@ -127,12 +134,13 @@ def diagonal_observable(weights, name="observable") -> Constraint:
         raise ValueError("diagonal observable weights must be finite")
     gaps = w[:-1] - w[-1]
 
-    def value(point: ChartPoint) -> float:
-        return float(w[-1] + gaps @ point.p)
+    def value(point: ChartPoint):
+        return w[-1] + point.p @ gaps
 
     def gradient(point: ChartPoint) -> np.ndarray:
-        grad = np.zeros(2 * point.m)
-        grad[point.m:] = gaps
+        m = point.m
+        grad = np.zeros(point.p.shape[:-1] + (2 * m,))
+        grad[..., m:] = gaps
         return grad
 
     return Constraint(name=name, fn=value, grad=gradient, matrix=w)
@@ -149,6 +157,13 @@ class ConstraintFrame:
     gram / gram_inv:  the Gram matrix M^{ij} of the rows and its inverse
                       M_ij, both exactly symmetric.
     condition_number: the sigma_max/sigma_min estimate of M.
+    singular:         False at a single point, whose frame exists only if M
+                      is invertible.
+
+    The frame of a batch of B points stacks each field along a leading
+    axis, and singular is a (B,) mask of the points whose Gram matrix is
+    singular.  Their gram_inv is NaN, so their multipliers, mu and
+    constrained field read NaN; nothing raises.
     """
 
     names: Tuple[str, ...]
@@ -157,12 +172,14 @@ class ConstraintFrame:
     gram: np.ndarray
     gram_inv: np.ndarray
     condition_number: float
+    singular: np.ndarray = False
 
     def multipliers(self, v: np.ndarray) -> np.ndarray:
         """lambda_i = M_ij grad_a Phi^j v^a: the components of the vector v
-        along the metric normals."""
-        lam = self.gram_inv @ (self.rows @ v)
-        if not np.isfinite(lam).all():
+        (rows, at a batch) along the metric normals.  At a single point a
+        non-finite result raises SingularGramError."""
+        lam = np.matvec(self.gram_inv, np.matvec(self.rows, v))
+        if self.gram.ndim == 2 and not np.isfinite(lam).all():
             raise SingularGramError(self.names, self.condition_number)
         return lam
 
@@ -173,8 +190,8 @@ class ConstraintFrame:
         Invariant under invertible linear recombination of the constraint
         set since M_ij transforms contragrediently.
         """
-        mu = self.rows.T @ self.gram_inv @ self.rows
-        return 0.5 * (mu + mu.T)
+        mu = self.rows.mT @ self.gram_inv @ self.rows
+        return 0.5 * (mu + mu.mT)
 
 
 def resolve_constraints(system, constraints) -> tuple:
@@ -183,22 +200,29 @@ def resolve_constraints(system, constraints) -> tuple:
 
 
 def gradient_rows(constraints: Sequence[Constraint], point: ChartPoint) -> np.ndarray:
-    """Stack constraint gradients as rows of an (N, 2n-2) array."""
-    return np.array([c.gradient(point) for c in constraints], dtype=float)
+    """Stack constraint gradients as rows: shape (N, 2n-2), or (B, N, 2n-2)
+    at a batch of B points."""
+    rows = np.array([c.gradient(point) for c in constraints], dtype=float)
+    return rows if rows.ndim == 2 else rows.swapaxes(0, 1)
 
 
 def _invert_gram(m: np.ndarray, names) -> Tuple[np.ndarray, float]:
     """M^{-1}, exactly symmetric, and the condition estimate of a finite
-    symmetric Gram matrix M; SingularGramError under the floor.  For N <= 2
-    the singular values are the absolute eigenvalues (a + d)/2 +-
-    hypot((a - d)/2, b) of the PSD M (b = 0 and d = a when N = 1), and
-    M^{-1} = adj(M)/det(M); larger sets take the SVD and LAPACK."""
+    symmetric Gram matrix M; SingularGramError under the floor or if M is
+    not finite.  For N <= 2 the singular values are the absolute
+    eigenvalues (a + d)/2 +- hypot((a - d)/2, b) of the PSD M (b = 0 and
+    d = a when N = 1), and M^{-1} = adj(M)/det(M); larger sets take the SVD
+    and LAPACK."""
     if m.shape[0] <= 2:
         a, d = float(m[0, 0]), float(m[-1, -1])
         b = float(m[0, 1]) if m.shape[0] == 2 else 0.0
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+            raise SingularGramError(names, math.nan)
         mean, rad = abs(0.5 * (a + d)), math.hypot(0.5 * (a - d), b)
         smax, smin = mean + rad, abs(mean - rad)
     else:
+        if not np.isfinite(m).all():
+            raise SingularGramError(names, math.nan)
         sv = np.linalg.svd(m, compute_uv=False)
         smax, smin = float(sv[0]), float(sv[-1])
     cond = np.inf if smin == 0.0 else smax / smin
@@ -212,25 +236,57 @@ def _invert_gram(m: np.ndarray, names) -> Tuple[np.ndarray, float]:
     return 0.5 * (m_inv + m_inv.T), cond
 
 
+def _invert_gram_batch(m: np.ndarray):
+    """_invert_gram over a (B, N, N) stack, by the same rule, without
+    raising: returns (M^{-1}, condition estimates, singular mask), with NaN
+    inverses and a True mask entry where M is singular or not finite."""
+    n = m.shape[-1]
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    m = np.where(finite[:, None, None], m, 0.0)
+    if n <= 2:
+        a, d = m[:, 0, 0], m[:, -1, -1]
+        b = m[:, 0, 1] if n == 2 else np.zeros_like(a)
+        mean, rad = np.abs(0.5 * (a + d)), np.hypot(0.5 * (a - d), b)
+        smax, smin = mean + rad, np.abs(mean - rad)
+    else:
+        sv = np.linalg.svd(m, compute_uv=False)
+        smax, smin = sv[:, 0], sv[:, -1]
+    cond = np.divide(smax, smin, out=np.full_like(smax, np.inf), where=smin != 0.0)
+    cond[~finite] = np.nan
+    singular = ~finite | (smin < GRAM_SINGULAR_FLOOR * np.maximum(1.0, smax))
+    m = np.where(singular[:, None, None], np.eye(n), m)
+    if n == 1:
+        m_inv = 1.0 / m
+    elif n == 2:
+        a, d, b = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1]
+        m_inv = np.stack([d, -b, -b, a], axis=-1).reshape(-1, 2, 2) / (a * d - b * b)[:, None, None]
+    else:
+        m_inv = np.linalg.inv(m)
+        m_inv = 0.5 * (m_inv + m_inv.mT)
+    m_inv[singular] = np.nan
+    return m_inv, cond, singular
+
+
 def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint) -> ConstraintFrame:
     """Gradients, metric normals and Gram matrix
     M^{ij} = g^{ab} grad_a Phi^i grad_b Phi^j of a constraint set at one
-    point, with the inverse of M.
+    point, or at each point of a batch, with the inverse of M.
 
     A Gram matrix that is not finite, or whose smallest singular value
     falls under GRAM_SINGULAR_FLOOR * max(1, sigma_max) (redundant
-    constraints, a vanishing gradient), is singular and raises
-    SingularGramError naming the constraints.
+    constraints, a vanishing gradient), is singular.  At a single point it
+    raises SingularGramError naming the constraints; at a batch it is
+    marked in the frame's singular mask.
     """
     if len(constraints) == 0:
         raise ValueError("at least one constraint is required")
-    names = tuple(c.name for c in constraints)
+    names = tuple([c.name for c in constraints])
     rows = gradient_rows(constraints, point)
-    normals = apply_g_inv(point, rows.T).T
-    m = rows @ normals.T
-    m = 0.5 * (m + m.T)
-    if not np.isfinite(m).all():
-        raise SingularGramError(names, np.nan)
+    normals = apply_g_inv(point, rows)
+    m = rows @ normals.mT
+    m = 0.5 * (m + m.mT)
+    if m.ndim > 2:
+        return ConstraintFrame(names, rows, normals, m, *_invert_gram_batch(m))
     return ConstraintFrame(names, rows, normals, m, *_invert_gram(m, names))
 
 
@@ -247,19 +303,23 @@ def covariance_matrix(observables: Sequence[np.ndarray], state: StateVector) -> 
     real for non-commuting pairs.  A single observable yields its variance,
     which vanishes exactly at its eigenstates.
     """
-    mats = [_check_hermitian(a) for a in observables]
-    amp = state.normalized()
-    acted = np.array([mat @ amp for mat in mats])
-    means = np.real(acted @ amp.conj())
+    return _covariance([_check_hermitian(a) for a in observables], state.normalized())
+
+
+def _covariance(mats, amp: np.ndarray) -> np.ndarray:
+    """covariance_matrix of normalised amplitudes amp, shape (..., n)."""
+    acted = np.stack([np.matvec(mat, amp) for mat in mats], axis=-2)
+    means = np.real(np.matvec(acted, amp.conj()))
     # Re(<A_i psi, A_j psi>) is the symmetrised second moment for Hermitian A.
-    second = np.real(acted.conj() @ acted.T)
-    cov = second - np.outer(means, means)
-    return 0.5 * (cov + cov.T)
+    second = np.real(acted.conj() @ acted.mT)
+    cov = second - means[..., :, None] * means[..., None, :]
+    return 0.5 * (cov + cov.mT)
 
 
 def gram_covariance_check(constraints: Sequence[Constraint], point: ChartPoint) -> float:
     """Max-norm gap between the metric Gram matrix and the Hilbert-space
-    covariance matrix of the same observables; analytically zero.
+    covariance matrix of the same observables, per point of a batch;
+    analytically zero.
 
     Only observable-kind constraints qualify; a diagonal observable's
     weights are expanded to diag(w) here.
@@ -268,8 +328,9 @@ def gram_covariance_check(constraints: Sequence[Constraint], point: ChartPoint) 
         if c.kind != "observable":
             raise ValueError("constraint %r is not observable-kind" % c.name)
     rows = gradient_rows(constraints, point)
-    metric_side = rows @ apply_g_inv(point, rows.T)
+    metric_side = rows @ apply_g_inv(point, rows).mT
     mats = [np.diag(c.matrix) if c.matrix.ndim == 1 else c.matrix for c in constraints]
-    hilbert_side = covariance_matrix(mats, embed(point))
-    return float(np.abs(metric_side - hilbert_side).max())
+    amp = chart_amplitudes(point)
+    hilbert_side = _covariance(mats, amp / np.sqrt(np.real(np.vecdot(amp, amp)))[..., None])
+    return np.abs(metric_side - hilbert_side).max(axis=(-2, -1))
 

@@ -63,23 +63,26 @@ class Trajectory:
 def schrodinger_field(point: ChartPoint, system) -> np.ndarray:
     """Unconstrained flow omega^{ab} grad_b H = (grad_p H, -grad_q H); in
     these coordinates the conventional Hamilton equations qdot = Omega,
-    pdot = 0."""
+    pdot = 0.  Rows of shape (B, 2m) at a batch of B points."""
     grad = system.hamiltonian.gradient(point)
-    return np.concatenate([grad[point.m:], -grad[:point.m]])
+    return np.concatenate([grad[..., point.m:], -grad[..., :point.m]], axis=-1)
 
 
 def constrained_field(point: ChartPoint, system, constraints=None) -> np.ndarray:
     """Metric-projected flow: the free field minus its g-normal components
     relative to the constraint surface.
 
-    With no constraints this is exactly the free Schrödinger field.
+    With no constraints this is exactly the free Schrödinger field.  At a
+    single point a singular Gram matrix raises SingularGramError; at a
+    batch of B points the field is a (B, 2m) array whose rows at singular
+    points are NaN.
     """
     free = schrodinger_field(point, system)
     cons = resolve_constraints(system, constraints)
     if not cons:
         return free
     frame = constraint_frame(cons, point)
-    return free - frame.normals.T @ frame.multipliers(free)
+    return free - np.vecmat(frame.multipliers(free), frame.normals)
 
 
 def integrate(

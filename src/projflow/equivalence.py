@@ -19,6 +19,9 @@ J^T grad Phi is g-orthogonal to grad Phi; for two constraints it reduces
 to a block condition on tau_ab = grad_a A grad_b B - grad_a B grad_b A in
 the complex type decomposition, satisfied in particular when A and B are
 the real and imaginary parts of one holomorphic constraint.
+
+Every diagnostic takes the frame and geometry of one point or of a batch;
+at a batch each residual is a (B,) array.
 """
 
 from __future__ import annotations
@@ -44,6 +47,11 @@ class EquivalenceReport:
     tau_sign is "plus", "minus" or "neither" for two-constraint
     configurations and None otherwise.  The verdict is "equivalent" exactly
     when the J-invariance residual is below EQUIVALENCE_TOL.
+
+    The report of a batch of B points holds (B,) arrays, tau_sign
+    included when it is not None; report[i] is the report of point i.  At
+    a point whose Gram matrix is singular the verdict is "singular" and the
+    residuals are NaN.
     """
 
     j_invariance_residual: float
@@ -51,6 +59,15 @@ class EquivalenceReport:
     left_annihilation_residual: float
     tau_sign: Optional[str]
     verdict: str
+
+    def __getitem__(self, i: int) -> "EquivalenceReport":
+        return EquivalenceReport(
+            j_invariance_residual=float(self.j_invariance_residual[i]),
+            right_annihilation_residual=float(self.right_annihilation_residual[i]),
+            left_annihilation_residual=float(self.left_annihilation_residual[i]),
+            tau_sign=None if self.tau_sign is None else str(self.tau_sign[i]),
+            verdict=str(self.verdict[i]),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -81,7 +98,7 @@ def j_invariance_residual(frame: ConstraintFrame, geom: PointGeometry) -> float:
     modified symplectic structure with the same Hamiltonian.
     """
     mu = frame.mu
-    return float(np.abs(geom.j.T @ mu @ geom.j - mu).max())
+    return np.abs(geom.j.mT @ mu @ geom.j - mu).max(axis=(-2, -1))
 
 
 def tau_analysis(frame: ConstraintFrame, geom: PointGeometry):
@@ -94,32 +111,30 @@ def tau_analysis(frame: ConstraintFrame, geom: PointGeometry):
     blocks survive (the holomorphic-pair structure) and with a minus sign
     when only the pure blocks survive.  Returns (tau, sign, block_norms)
     with sign in {"plus", "minus", "neither"} judged at relative tolerance
-    TAU_BLOCK_RTOL.
+    TAU_BLOCK_RTOL; at a batch, tau is stacked and sign and each block
+    norm are (B,) arrays.
     """
-    if len(frame.rows) != 2:
+    if frame.rows.shape[-2] != 2:
         raise ValueError("tau analysis needs exactly two constraints")
-    grad_a, grad_b = frame.rows
-    tau = np.outer(grad_a, grad_b) - np.outer(grad_b, grad_a)
+    outer = frame.rows[..., 0, :, None] * frame.rows[..., 1, None, :]
+    tau = outer - outer.mT
     eye = np.eye(geom.dim)
-    proj_pos = 0.5 * (eye - 1j * geom.j.T)
-    proj_neg = 0.5 * (eye + 1j * geom.j.T)
+    j_t = geom.j.mT
+    proj_pos = 0.5 * (eye - 1j * j_t)
+    proj_neg = 0.5 * (eye + 1j * j_t)
+    pos_t, neg_t = proj_pos.mT, proj_neg.mT
     blocks = {
-        "pos_pos": proj_pos @ tau @ proj_pos.T,
-        "pos_neg": proj_pos @ tau @ proj_neg.T,
-        "neg_pos": proj_neg @ tau @ proj_pos.T,
-        "neg_neg": proj_neg @ tau @ proj_neg.T,
+        "pos_pos": proj_pos @ tau @ pos_t,
+        "pos_neg": proj_pos @ tau @ neg_t,
+        "neg_pos": proj_neg @ tau @ pos_t,
+        "neg_neg": proj_neg @ tau @ neg_t,
     }
-    norms = {key: float(np.abs(block).max()) for key, block in blocks.items()}
-    scale = float(np.abs(tau).max())
-    pure = max(norms["pos_pos"], norms["neg_neg"])
-    mixed = max(norms["pos_neg"], norms["neg_pos"])
-    if pure <= TAU_BLOCK_RTOL * scale:
-        sign = "plus"
-    elif mixed <= TAU_BLOCK_RTOL * scale:
-        sign = "minus"
-    else:
-        sign = "neither"
-    return tau, sign, norms
+    norms = {key: np.abs(block).max(axis=(-2, -1)) for key, block in blocks.items()}
+    scale = TAU_BLOCK_RTOL * np.abs(tau).max(axis=(-2, -1))
+    pure = np.maximum(norms["pos_pos"], norms["neg_neg"])
+    mixed = np.maximum(norms["pos_neg"], norms["neg_pos"])
+    sign = np.where(pure <= scale, "plus", np.where(mixed <= scale, "minus", "neither"))
+    return tau, sign if sign.ndim else str(sign), norms
 
 
 def annihilation_check(frame: Optional[ConstraintFrame], geom: PointGeometry):
@@ -134,22 +149,32 @@ def annihilation_check(frame: Optional[ConstraintFrame], geom: PointGeometry):
     if frame is None:
         return 0.0, 0.0
     wtilde = modified_symplectic(frame, geom)
-    right = float(np.abs(wtilde.T @ frame.rows.T).max())
-    left = float(np.abs(wtilde @ frame.rows.T).max())
+    grads = frame.rows.mT
+    right = np.abs(wtilde.mT @ grads).max(axis=(-2, -1))
+    left = np.abs(wtilde @ grads).max(axis=(-2, -1))
     return right, left
 
 
 def equivalence_report(point: ChartPoint, system) -> EquivalenceReport:
-    """Evaluate every diagnostic at one point and render the verdict at
-    EQUIVALENCE_TOL, from one geometry evaluation and one constraint frame
-    of the system's constraints."""
+    """Evaluate every diagnostic at one point, or at each point of a batch,
+    and render the verdict at EQUIVALENCE_TOL, from one geometry evaluation
+    and one constraint frame of the system's constraints.  A singular Gram
+    matrix raises SingularGramError at a single point and reads "singular"
+    at a batch."""
     cons = system.constraints
     geom = geometry_at(point)
-    frame = constraint_frame(cons, point) if cons else None
-    j_res = j_invariance_residual(frame, geom) if cons else 0.0
-    right, left = annihilation_check(frame, geom)
+    if cons:
+        frame = constraint_frame(cons, point)
+        j_res = j_invariance_residual(frame, geom)
+        right, left = annihilation_check(frame, geom)
+        singular = frame.singular
+    else:
+        j_res = right = left = np.zeros(point.q.shape[:-1])
+        singular = False
     tau_sign = tau_analysis(frame, geom)[1] if len(cons) == 2 else None
-    verdict = "equivalent" if j_res < EQUIVALENCE_TOL else "not_equivalent"
+    verdict = np.where(singular, "singular", np.where(j_res < EQUIVALENCE_TOL, "equivalent", "not_equivalent"))
+    if verdict.ndim == 0:
+        j_res, right, left, verdict = float(j_res), float(right), float(left), str(verdict)
     return EquivalenceReport(
         j_invariance_residual=j_res,
         right_annihilation_residual=right,

@@ -35,7 +35,7 @@ field reads
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
@@ -81,24 +81,34 @@ def diagonal_system(n: int, energies, constraints=()) -> SystemDefinition:
 # Example: two spin-1/2 particles constrained to product states
 # ---------------------------------------------------------------------------
 
-def _phase_sum(point: ChartPoint) -> float:
-    return float(point.q[0] - point.q[1] - point.q[2])
+# The pair broadcasts over a batch axis: unpacking point.q.T or point.p.T
+# gives the k-th coordinate of every point, point.p[..., k].
+
+def _phase_sum(point: ChartPoint):
+    q1, q2, q3 = point.q.T
+    return q1 - q2 - q3
+
+
+_PHASE_SUM_SIGNS = np.array([1.0, -1.0, -1.0])
 
 
 def _phase_sum_grad(point: ChartPoint) -> np.ndarray:
-    return np.array([1.0, -1.0, -1.0, 0.0, 0.0, 0.0])
+    grad = np.zeros(point.q.shape[:-1] + (6,))
+    grad[..., :3] = _PHASE_SUM_SIGNS
+    return grad
 
 
-def _population_product(point: ChartPoint) -> float:
-    p1, p2, p3 = point.p
+def _population_product(point: ChartPoint):
+    p1, p2, p3 = point.p.T
     p4 = 1.0 - p1 - p2 - p3
-    return float(p1 * p4 - p2 * p3)
+    return p1 * p4 - p2 * p3
 
 
 def _population_product_grad(point: ChartPoint) -> np.ndarray:
-    p1, p2, p3 = point.p
+    p1, p2, p3 = point.p.T
     p4 = 1.0 - p1 - p2 - p3
-    return np.array([0.0, 0.0, 0.0, p4 - p1, -(p1 + p3), -(p1 + p2)])
+    zero = 0.0 * p1  # p1 > 0 in the chart, so this is +0.0
+    return np.array([zero, zero, zero, p4 - p1, -(p1 + p3), -(p1 + p2)]).T
 
 
 def two_qubit_product_system(energies=(1.0, 2.0, 3.0, 0.0)) -> SystemDefinition:
@@ -179,19 +189,26 @@ class AngularPoint:
         object.__setattr__(self, "phi", float(np.mod(self.phi, 2.0 * math.pi)))
 
 
+def angular_coords(theta, phi) -> np.ndarray:
+    """Flat chart coordinates (q, p) of spherical angles, p = sin^2(theta/2)
+    and q = -phi (mod 2*pi), on a last axis of length 2; elementwise over
+    arrays of angles of one shape, and unchecked (from_angular guards)."""
+    q = np.mod(-np.mod(phi, 2.0 * math.pi), 2.0 * math.pi)
+    return np.stack([q, np.sin(0.5 * theta) ** 2], axis=-1)
+
+
 def from_angular(angular: AngularPoint) -> ChartPoint:
     """Sphere to chart: p = sin^2(theta/2), q = -phi (mod 2*pi)."""
-    p = math.sin(0.5 * angular.theta) ** 2
-    q = float(np.mod(-angular.phi, 2.0 * math.pi))
-    return ChartPoint(np.array([q]), np.array([p]))
+    return ChartPoint.from_coords(angular_coords(angular.theta, angular.phi))
 
 
 def pushforward_to_angular(point: ChartPoint, velocity) -> Tuple[float, float]:
     """Push a chart velocity (qdot, pdot) to (thetadot, phidot):
-    thetadot = pdot / sqrt(p (1-p)), phidot = -qdot."""
-    p = float(point.p[0])
-    qdot, pdot = float(velocity[0]), float(velocity[1])
-    return pdot / math.sqrt(p * (1.0 - p)), -qdot
+    thetadot = pdot / sqrt(p (1-p)), phidot = -qdot.  At a batch, velocity
+    holds one row per point and each rate is a (B,) array."""
+    p = point.p[..., 0]
+    qdot, pdot = velocity[..., 0], velocity[..., 1]
+    return pdot / np.sqrt(p * (1.0 - p)), -qdot
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +225,20 @@ def sample_interior_point(rng: np.random.Generator, pairs: int) -> ChartPoint:
     return ChartPoint(q, p)
 
 
-def system_from_name(name: str, *, energies=None, n=None, constraints=()) -> SystemDefinition:
+def with_constraints(system: SystemDefinition, constraints) -> SystemDefinition:
+    """The system with the given constraints.  A worked system comes with
+    its own and takes no others: ConfigError, raised before the iterable
+    of constraints is read, so a generator that parses them runs only for
+    a system that accepts them."""
+    if system.constraints:
+        raise ConfigError("system %r has fixed constraints; extra constraints are not accepted" % system.name)
+    return replace(system, constraints=tuple(constraints))
+
+
+def system_from_name(name: str, *, energies=None, n=None) -> SystemDefinition:
     """Instantiate a named system: "two-qubit-product", "spin-half-sx" or
-    "diagonal" (which needs n and energies).  Only the diagonal system takes
-    extra constraints; the worked systems come with their own."""
-    if constraints and name in ("two-qubit-product", "spin-half-sx"):
-        raise ConfigError("system %r has fixed constraints; extra constraints are not accepted" % name)
+    "diagonal" (which needs n and energies).  with_constraints adds
+    constraints to a diagonal system."""
     if name == "two-qubit-product":
         if energies is None:
             return two_qubit_product_system()
@@ -223,5 +248,5 @@ def system_from_name(name: str, *, energies=None, n=None, constraints=()) -> Sys
     if name == "diagonal":
         if n is None or energies is None:
             raise ValueError("the diagonal system needs both n and energies")
-        return diagonal_system(int(n), energies, constraints)
+        return diagonal_system(int(n), energies)
     raise KeyError("unknown system %r" % name)

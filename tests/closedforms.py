@@ -442,7 +442,7 @@ def rows_frame(constraints, point):
     constraint_frame raises SingularGramError.
     """
     rows = np.array([c.gradient(point) for c in constraints], dtype=float)
-    normals = apply_g_inv(point, rows.T).T
+    normals = apply_g_inv(point, rows)
     gram = rows @ normals.T
     return SimpleNamespace(rows=rows, normals=normals, gram=0.5 * (gram + gram.T))
 

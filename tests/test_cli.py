@@ -1,13 +1,16 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from projflow import ChartPoint, schrodinger_field, single_spin_conserved_sx
+from projflow import cli
 from projflow.cli import main
+import closedforms as cf
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SIGMA_Y = [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
@@ -206,32 +209,39 @@ class TestConfigErrors:
         assert self.run(tmp_path, capsys, "check", payload) == 2
 
     @pytest.mark.parametrize(
-        "command, payload",
+        "command, payload, message",
         [
-            ("check", {"system": {"name": "spin-half-sx"}, "points": [{"q": [0.1, 0.2], "p": [0.3, 0.2]}]}),
-            ("check", {"system": {"name": "spin-half-sx"}, "points": [{"q": [0.1], "p": [1.5]}]}),
-            ("check", {"system": {"name": "spin-half-sx"}, "points": [], "num_points": 3}),
-            ("field", {"system": {"name": "spin-half-sx"}, "grid": [1, 2], "output_path": "unused.csv"}),
-            ("check", {"system": {"name": "diagonal", "n": 2, "energies": [1.0, 0.0], "constraints": 5}}),
-            ("check", {"system": {"name": "diagonal", "n": 2, "energies": [1.0, 0.0], "constraints": [1]}}),
+            ("check", {"system": {"name": "spin-half-sx"}, "points": [{"q": [0.1, 0.2], "p": [0.3, 0.2]}]}, ""),
+            ("check", {"system": {"name": "spin-half-sx"}, "points": [{"q": [0.1], "p": [1.5]}]}, ""),
+            ("check", {"system": {"name": "spin-half-sx"}, "points": [], "num_points": 3}, ""),
+            ("field", {"system": {"name": "spin-half-sx"}, "grid": [1, 2], "output_path": "unused.csv"}, ""),
+            ("check", {"system": {"name": "diagonal", "n": 2, "energies": [1.0, 0.0], "constraints": 5}}, ""),
+            ("check", {"system": {"name": "diagonal", "n": 2, "energies": [1.0, 0.0], "constraints": [1]}}, ""),
             ("check", {"system": {"name": "diagonal", "n": 3, "energies": [1.0, 0.5, 0.0],
-                                  "constraints": [{"kind": "observable", "matrix": [[0, 1], [1, 0]]}]}}),
-            ("check", {"system": {"name": "diagonal", "n": [3], "energies": [1.0, 0.5, 0.0]}}),
+                                  "constraints": [{"kind": "observable", "matrix": [[0, 1], [1, 0]]}]}},
+             "observable matrix must be 3 x 3"),
+            ("check", {"system": {"name": "diagonal", "n": [3], "energies": [1.0, 0.5, 0.0]}}, ""),
             ("check", {"system": {"name": "diagonal", "n": 2, "energies": [-1.0, 1.0],
                                   "constraints": [{"kind": "observable",
-                                                   "matrix": [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]}]}}),
-            ("check", NAN_OBSERVABLE),
+                                                   "matrix": [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]}]}}, ""),
+            ("check", NAN_OBSERVABLE, ""),
             ("field", {**NAN_OBSERVABLE, "grid": {"kind": "chart", "q_min": 0.5, "q_max": 1.5, "q_count": 2,
                                                   "p_min": 0.2, "p_max": 0.8, "p_count": 2},
-                       "output_path": "unused.csv"}),
-            ("simulate", {**NAN_OBSERVABLE, "initial_point": {"q": [0.9], "p": [0.3]}, "output_path": "unused.csv"}),
+                       "output_path": "unused.csv"}, ""),
+            ("simulate", {**NAN_OBSERVABLE, "initial_point": {"q": [0.9], "p": [0.3]}, "output_path": "unused.csv"}, ""),
+            # the fixed-constraint rule comes before any entry is parsed
+            ("check", {"system": {"name": "two-qubit-product",
+                                  "constraints": [{"kind": "observable", "matrix": np.eye(4).tolist()}]}},
+             "system 'two-qubit-product' has fixed constraints"),
         ],
         ids=["point-pairs", "point-outside-chart", "points-empty", "grid-not-object", "constraints-not-list",
              "constraint-not-object", "observable-not-n-by-n", "n-not-integer", "observable-pairs-not-hermitian",
-             "observable-not-finite-check", "observable-not-finite-field", "observable-not-finite-simulate"],
+             "observable-not-finite-check", "observable-not-finite-field", "observable-not-finite-simulate",
+             "observable-on-fixed-system"],
     )
-    def test_malformed_entries(self, tmp_path, capsys, command, payload):
-        assert self.run(tmp_path, capsys, command, payload) == 2
+    def test_malformed_entries(self, tmp_path, capsys, command, payload, message):
+        assert main([command, write_config(tmp_path / "cfg.json", payload)]) == 2
+        assert "config error: " + message in capsys.readouterr().err
 
     def test_non_finite_observable_named(self, tmp_path, capsys):
         # simulate used to exit 2 here too, but with "SVD did not converge"
@@ -369,6 +379,28 @@ class TestField:
         free = schrodinger_field(ChartPoint([1.1], [0.33]), single_spin_conserved_sx())
         assert [float(v) for v in rows[0][2:4]] == list(free)
 
+    def test_pole_rows_read_singular(self, tmp_path):
+        # the theta = 1e-12 and pi - 1e-12 rows fail the chart guard inside
+        # the batch; the other nodes keep clear of the singular points
+        out = tmp_path / "poles.csv"
+        grid = {"kind": "angular", "theta_min": 1e-12, "theta_max": math.pi - 1e-12, "theta_count": 4,
+                "phi_min": 0.0, "phi_max": 1.5 * math.pi, "phi_count": 4}
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"system": {"name": "spin-half-sx"}, "grid": grid, "output_path": str(out)},
+        )
+        assert main(["field", cfg]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 16
+        for row in rows:
+            theta, phi = float(row[0]), float(row[1])
+            if theta < 1e-6 or theta > math.pi - 1e-6:
+                assert row[2:] == ["nan", "nan", "singular"]
+                continue
+            assert row[-1] == "ok"
+            expected = cf.spin_angular_field(theta, phi)
+            assert [float(v) for v in row[2:4]] == pytest.approx(expected, abs=1e-12)
+
     def test_grid_outside_chart_exits_2(self, tmp_path):
         grid = self.sphere_grid()
         grid["theta_max"] = 4.0  # beyond the pole
@@ -496,6 +528,37 @@ class TestValidate:
         assert main(["validate", cfg]) == 0
         assert main(["validate", cfg, "--output", str(tmp_path / "b.json")]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+    def test_peak_memory_flat_in_point_count(self, tmp_path):
+        """At n = 32 one point's Nijenhuis stencil already exceeds
+        cli.BATCH_ENTRIES, so eight points take eight passes and peak no
+        higher than one point."""
+
+        def peak(num_points):
+            cfg = write_config(tmp_path / "cfg.json", {
+                "system": {"name": "diagonal", "n": 32, "energies": list(range(32))},
+                "num_points": num_points, "output_path": str(tmp_path / "out.json")})
+            tracemalloc.start()
+            try:
+                assert main(["validate", cfg]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) < 1.1 * peak(1)
+
+
+@pytest.mark.parametrize("command, system", [("check", "spin-half-sx"), ("check", "two-qubit-product"),
+                                             ("validate", "spin-half-sx"), ("validate", "two-qubit-product")])
+def test_batch_size_does_not_change_output(tmp_path, monkeypatch, command, system):
+    """One point per pass writes the same bytes as the default single pass."""
+    cfg = write_config(tmp_path / "cfg.json", {"system": {"name": system}, "num_points": 7, "seed": 4,
+                                               "output_path": str(tmp_path / "one-pass.json")})
+    assert main([command, cfg]) == 0
+    monkeypatch.setattr(cli, "BATCH_ENTRIES", 1)
+    assert main([command, cfg, "--output", str(tmp_path / "per-point.json")]) == 0
+    assert (tmp_path / "one-pass.json").read_bytes() == (tmp_path / "per-point.json").read_bytes()
 
 
 def test_flag_overrides(tmp_path, surface_start):

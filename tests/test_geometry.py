@@ -27,7 +27,7 @@ class TestChartPoint:
         assert np.array_equal(pt.q, [0.1, 0.2]) and np.array_equal(pt.p, [0.3, 0.4])
         assert np.array_equal(pt.coords(), [0.1, 0.2, 0.3, 0.4])
 
-    @pytest.mark.parametrize("coords", [[0.1, 0.2, 0.3], [[0.1, 0.2], [0.3, 0.4]], 0.5, [0.1, np.nan],
+    @pytest.mark.parametrize("coords", [[0.1, 0.2, 0.3], [[[0.1, 0.2]], [[0.3, 0.4]]], 0.5, [0.1, np.nan],
                                         [np.inf, 0.3]])
     def test_from_coords_rejects(self, coords):
         with pytest.raises(ChartDomainError):
@@ -225,9 +225,9 @@ class TestClosedForm:
         for name, (value, reference) in comparisons.items():
             assert self.rel_gap(value, reference) < 1e-12, name
         covector = rng.normal(size=2 * pairs)
-        columns = rng.normal(size=(2 * pairs, 3))
+        rows = rng.normal(size=(3, 2 * pairs))
         assert self.rel_gap(apply_g_inv(pt, covector), g_inv @ covector) < 1e-12
-        assert self.rel_gap(apply_g_inv(pt, columns), g_inv @ columns) < 1e-12
+        assert self.rel_gap(apply_g_inv(pt, rows), rows @ g_inv.T) < 1e-12
 
     def test_apply_g_inv_guard(self):
         with pytest.raises(DegenerateGeometryError):

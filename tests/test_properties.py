@@ -25,7 +25,7 @@ from projflow import (
     observable_constraint,
     sample_interior_point,
 )
-from projflow.geometry import BOUNDARY_MARGIN
+from projflow.geometry import BOUNDARY_MARGIN, inside_chart
 
 import closedforms as cf
 
@@ -102,8 +102,8 @@ def test_gram_equals_covariance(n, seed):
 @example(1, 0, "p-below-margin")
 def test_chart_point_guard(pairs, seed, case):
     """Both constructors accept a point exactly when it is finite with
-    margin min(p.min(), 1 - sum p) >= BOUNDARY_MARGIN, agree on p_last, and
-    keep a read-only copy of the coordinates."""
+    margin min(p.min(), 1 - sum p) >= BOUNDARY_MARGIN, as inside_chart
+    says, agree on p_last, and keep a read-only copy of the coordinates."""
     rng = np.random.default_rng(seed)
     q = rng.uniform(-10.0, 10.0, size=pairs)
     weights = rng.uniform(0.2, 1.0, size=pairs + 1)
@@ -122,16 +122,27 @@ def test_chart_point_guard(pairs, seed, case):
         x[rng.integers(2 * pairs)] = rng.choice([np.nan, np.inf, -np.inf])
         q, p = x[:pairs].copy(), x[pairs:].copy()
     p_last = 1.0 - p.sum()
-    if not (np.isfinite(x).all() and min(p.min(), p_last) >= BOUNDARY_MARGIN):
+    inside = bool(np.isfinite(x).all() and min(p.min(), p_last) >= BOUNDARY_MARGIN)
+    # the vectorised predicate agrees, on the point alone, in a batch and on
+    # a grid whose middle axis has the length 2m of a point
+    assert inside_chart(x) == inside
+    assert inside_chart(np.stack([x, x])).tolist() == [inside, inside]
+    grid = np.tile(x, (3, 2 * pairs, 1))
+    assert inside_chart(grid).shape == (3, 2 * pairs)
+    assert (inside_chart(grid) == inside).all()
+    if not inside:
         error = DegenerateGeometryError if np.isfinite(x).all() else ChartDomainError
         with pytest.raises(error):
             ChartPoint(q, p)
         with pytest.raises(error):
             ChartPoint.from_coords(x)
+        with pytest.raises(error):
+            ChartPoint.from_coords(np.stack([x, x]))
         return
     kept = x.copy()
     points = (ChartPoint(q, p), ChartPoint.from_coords(x))
     assert points[0].p_last == points[1].p_last == p_last
+    assert ChartPoint.from_coords(np.stack([x, x])).p_last.tolist() == [p_last, p_last]
     for source in (q, p, x):
         source[...] = 5.0
     for pt in points:

@@ -49,8 +49,11 @@ VALIDATE_NIJENHUIS_TOL = 1e-4
 BATCH_ENTRIES = 2 ** 16
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _csv(header: str, table: np.ndarray, flags: list) -> str:
+    """The header line, then one line per table row: every value in "%.17g"
+    (nan as "nan"), then the row's flag."""
+    row = ",".join(["%.17g"] * table.shape[1] + ["%s\n"])
+    return header + "\n" + "".join([row % (*values, flag) for values, flag in zip(table.tolist(), flags)])
 
 
 def _json_dump(obj, indent=0) -> str:
@@ -76,7 +79,7 @@ def _json_dump(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
+        return "%.17g" % obj
     return json.dumps(str(obj))
 
 
@@ -126,10 +129,12 @@ def _entry(raw: dict, key: str, default, types, what: str):
 
 
 def _chart_point(spec, pairs: int, what: str) -> ChartPoint:
-    """A {"q": [...], "p": [...]} entry as a point of a chart with the given
-    number of pairs, inside the guarded chart interior."""
+    """A {"q": [...], "p": [...]} entry as one point of a chart with the
+    given number of pairs, inside the guarded chart interior."""
     try:
         point = ChartPoint(np.asarray(spec["q"], float), np.asarray(spec["p"], float))
+        if point.q.ndim != 1:
+            raise ValueError("q and p must be flat lists, one point, not a batch")
         if point.m != pairs:
             raise ValueError("%d pairs where the system needs %d" % (point.m, pairs))
     except (KeyError, TypeError, ValueError) as exc:
@@ -225,27 +230,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     except (ChartDomainError, ValueError) as exc:
         raise ConfigError(str(exc))
 
-    m = cfg.initial_point.m
-    header = (
-        ["t"]
-        + ["q_%d" % (i + 1) for i in range(m)]
-        + ["p_%d" % (i + 1) for i in range(m)]
-        + ["phi_%d" % (i + 1) for i in range(len(cfg.system.constraints))]
-        + ["H", "exit_flag"]
-    )
-    lines = [",".join(header)]
-    last = len(traj) - 1
-    for i in range(len(traj)):
-        flag = traj.exit_flag if (i == last and traj.exit_flag != "completed") else "ok"
-        row = (
-            [_fmt(traj.times[i])]
-            + [_fmt(v) for v in np.mod(traj.qs[i], 2.0 * math.pi)]
-            + [_fmt(v) for v in traj.ps[i]]
-            + [_fmt(v) for v in traj.constraint_values[i]]
-            + [_fmt(traj.energies[i]), flag]
-        )
-        lines.append(",".join(row))
-    _write_text(cfg.output_path, "\n".join(lines) + "\n")
+    pairs = range(1, cfg.initial_point.m + 1)
+    header = (["t"] + ["q_%d" % i for i in pairs] + ["p_%d" % i for i in pairs]
+              + ["phi_%d" % (i + 1) for i in range(len(cfg.system.constraints))] + ["H", "exit_flag"])
+    table = np.column_stack([traj.times, np.mod(traj.qs, 2.0 * math.pi), traj.ps,
+                             traj.constraint_values, traj.energies])
+    flags = ["ok"] * (len(traj) - 1) + ["ok" if traj.exit_flag == "completed" else traj.exit_flag]
+    _write_text(cfg.output_path, _csv(",".join(header), table, flags))
     if traj.exit_flag != "completed":
         print("truncated (%s) after %d samples -> %s" % (traj.exit_flag, len(traj), cfg.output_path))
         return 3
@@ -294,14 +285,10 @@ def cmd_field(cfg: RunConfig) -> int:
         point = ChartPoint.from_coords(coords[inside])
         field = constrained_field(point, system)
         rates[inside] = np.stack(pushforward_to_angular(point, field), axis=-1) if kind == "angular" else field
-    lines = [header]
-    for (a, b), rate in zip(nodes, rates):
-        if np.isfinite(rate).all():
-            lines.append(",".join([_fmt(a), _fmt(b), _fmt(rate[0]), _fmt(rate[1]), "ok"]))
-        else:
-            lines.append(",".join([_fmt(a), _fmt(b), "nan", "nan", "singular"]))
-    _write_text(cfg.output_path, "\n".join(lines) + "\n")
-    print("wrote %d field rows -> %s" % (len(lines) - 1, cfg.output_path))
+    ok = np.isfinite(rates).all(axis=-1)
+    rates[~ok] = np.nan
+    _write_text(cfg.output_path, _csv(header, np.hstack([nodes, rates]), np.where(ok, "ok", "singular").tolist()))
+    print("wrote %d field rows -> %s" % (len(nodes), cfg.output_path))
     return 0
 
 

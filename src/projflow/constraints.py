@@ -149,8 +149,7 @@ def diagonal_observable(weights, name="observable") -> Constraint:
 @dataclass(frozen=True)
 class ConstraintFrame:
     """The constraint data of one chart point, built once and shared by the
-    constrained field, the multipliers, the Newton projection and the
-    equivalence diagnostics.
+    Newton projection and the equivalence diagnostics.
 
     rows:             gradients grad_a Phi^i as rows, shape (N, 2n-2).
     normals:          the metric normals g^{ab} grad_b Phi^i as rows.
@@ -162,26 +161,16 @@ class ConstraintFrame:
 
     The frame of a batch of B points stacks each field along a leading
     axis, and singular is a (B,) mask of the points whose Gram matrix is
-    singular.  Their gram_inv is NaN, so their multipliers, mu and
-    constrained field read NaN; nothing raises.
+    singular.  Their gram_inv is NaN, so their mu reads NaN; nothing
+    raises.
     """
 
-    names: Tuple[str, ...]
     rows: np.ndarray
     normals: np.ndarray
     gram: np.ndarray
     gram_inv: np.ndarray
     condition_number: float
     singular: np.ndarray = False
-
-    def multipliers(self, v: np.ndarray) -> np.ndarray:
-        """lambda_i = M_ij grad_a Phi^j v^a: the components of the vector v
-        (rows, at a batch) along the metric normals.  At a single point a
-        non-finite result raises SingularGramError."""
-        lam = np.matvec(self.gram_inv, np.matvec(self.rows, v))
-        if self.gram.ndim == 2 and not np.isfinite(lam).all():
-            raise SingularGramError(self.names, self.condition_number)
-        return lam
 
     @property
     def mu(self) -> np.ndarray:
@@ -202,32 +191,42 @@ def resolve_constraints(system, constraints) -> tuple:
 def gradient_rows(constraints: Sequence[Constraint], point: ChartPoint) -> np.ndarray:
     """Stack constraint gradients as rows: shape (N, 2n-2), or (B, N, 2n-2)
     at a batch of B points."""
-    rows = np.array([c.gradient(point) for c in constraints], dtype=float)
+    rows = np.array([c.grad(point) for c in constraints], dtype=float)
     return rows if rows.ndim == 2 else rows.swapaxes(0, 1)
 
 
-def _invert_gram(m: np.ndarray, names) -> Tuple[np.ndarray, float]:
+def _normals_and_gram(constraints: Sequence[Constraint], point: ChartPoint):
+    """The gradient rows, their metric normals g^{ab} grad_b Phi^i and their
+    exactly symmetric Gram matrix M^{ij}, at one point or over a batch."""
+    rows = gradient_rows(constraints, point)
+    normals = apply_g_inv(point, rows)
+    m = rows @ normals.mT
+    return rows, normals, 0.5 * (m + m.mT)
+
+
+def _invert_gram(m: np.ndarray, constraints) -> Tuple[np.ndarray, float]:
     """M^{-1}, exactly symmetric, and the condition estimate of a finite
-    symmetric Gram matrix M; SingularGramError under the floor or if M is
-    not finite.  For N <= 2 the singular values are the absolute
-    eigenvalues (a + d)/2 +- hypot((a - d)/2, b) of the PSD M (b = 0 and
-    d = a when N = 1), and M^{-1} = adj(M)/det(M); larger sets take the SVD
-    and LAPACK."""
+    symmetric Gram matrix M of the constraints; SingularGramError naming
+    them under the floor or if M is not finite.  For N <= 2 the singular
+    values are the absolute eigenvalues (a + d)/2 +- hypot((a - d)/2, b)
+    of the PSD M (b = 0 and d = a when N = 1), and M^{-1} = adj(M)/det(M);
+    larger sets take the SVD and LAPACK."""
     if m.shape[0] <= 2:
-        a, d = float(m[0, 0]), float(m[-1, -1])
-        b = float(m[0, 1]) if m.shape[0] == 2 else 0.0
+        entries = m.tolist()
+        a, d = entries[0][0], entries[-1][-1]
+        b = entries[0][1] if m.shape[0] == 2 else 0.0
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
-            raise SingularGramError(names, math.nan)
+            raise SingularGramError([c.name for c in constraints], math.nan)
         mean, rad = abs(0.5 * (a + d)), math.hypot(0.5 * (a - d), b)
         smax, smin = mean + rad, abs(mean - rad)
     else:
         if not np.isfinite(m).all():
-            raise SingularGramError(names, math.nan)
+            raise SingularGramError([c.name for c in constraints], math.nan)
         sv = np.linalg.svd(m, compute_uv=False)
         smax, smin = float(sv[0]), float(sv[-1])
     cond = np.inf if smin == 0.0 else smax / smin
     if smin < GRAM_SINGULAR_FLOOR * max(1.0, smax):
-        raise SingularGramError(names, cond)
+        raise SingularGramError([c.name for c in constraints], cond)
     if m.shape[0] == 1:
         return 1.0 / m, cond
     if m.shape[0] == 2:
@@ -280,14 +279,10 @@ def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint) -> Co
     """
     if len(constraints) == 0:
         raise ValueError("at least one constraint is required")
-    names = tuple([c.name for c in constraints])
-    rows = gradient_rows(constraints, point)
-    normals = apply_g_inv(point, rows)
-    m = rows @ normals.mT
-    m = 0.5 * (m + m.mT)
+    rows, normals, m = _normals_and_gram(constraints, point)
     if m.ndim > 2:
-        return ConstraintFrame(names, rows, normals, m, *_invert_gram_batch(m))
-    return ConstraintFrame(names, rows, normals, m, *_invert_gram(m, names))
+        return ConstraintFrame(rows, normals, m, *_invert_gram_batch(m))
+    return ConstraintFrame(rows, normals, m, *_invert_gram(m, constraints))
 
 
 def gram_matrix(constraints: Sequence[Constraint], point: ChartPoint) -> np.ndarray:

@@ -16,7 +16,7 @@ field:
 which makes the flow exactly tangent to every constraint level set.
 Since omega^{ab} is the constant canonical matrix, the free field is
 (grad_p H, -grad_q H), and g^{ab} only ever acts on the constraint
-gradients, through one ConstraintFrame per point.
+gradients, in one array core shared by constrained_field and integrate.
 Trajectories are produced by a fixed-step classical Runge-Kutta (RK4)
 integrator with an optional post-step Newton projection that pulls the
 constraint values back to their initial ones.
@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, constraint_frame, resolve_constraints
+from .constraints import (Constraint, _invert_gram, _invert_gram_batch, _normals_and_gram, constraint_frame,
+                          resolve_constraints)
 from .errors import ChartDomainError, SingularGramError
 from .geometry import ChartPoint
 
@@ -77,12 +78,22 @@ def constrained_field(point: ChartPoint, system, constraints=None) -> np.ndarray
     batch of B points the field is a (B, 2m) array whose rows at singular
     points are NaN.
     """
-    free = schrodinger_field(point, system)
-    cons = resolve_constraints(system, constraints)
+    return _projected(point, resolve_constraints(system, constraints), schrodinger_field(point, system))
+
+
+def _projected(point: ChartPoint, cons: tuple, free: np.ndarray) -> np.ndarray:
+    """free - lambda_i g^{ab} grad_b Phi^i, lambda_i = M_ij grad_a Phi^j free^a,
+    from the arrays of a constraint frame without building one.  At a single
+    point a singular M or a non-finite lambda raises SingularGramError."""
     if not cons:
         return free
-    frame = constraint_frame(cons, point)
-    return free - np.vecmat(frame.multipliers(free), frame.normals)
+    rows, normals, gram = _normals_and_gram(cons, point)
+    single = gram.ndim == 2
+    gram_inv, cond = _invert_gram(gram, cons) if single else _invert_gram_batch(gram)[:2]
+    lam = np.matvec(gram_inv, np.matvec(rows, free))
+    if single and not np.isfinite(lam).all():
+        raise SingularGramError([c.name for c in cons], cond)
+    return free - np.vecmat(lam, normals)
 
 
 def integrate(
@@ -94,7 +105,7 @@ def integrate(
     constraints: Optional[Sequence[Constraint]] = None,
     projection: bool = True,
 ) -> Trajectory:
-    """Fixed-step RK4 integration of the (constrained) flow.
+    """Fixed-step RK4 integration of the (constrained) flow from one point.
 
     Samples are recorded at every accepted step (multiples of dt, with a
     final shorter step landing exactly on t_end); each sample carries the
@@ -104,44 +115,51 @@ def integrate(
     corrections along the metric normals g^{-1} grad Phi pull the values
     back to the initial ones after every step.
 
-    Every stage point, step and projected point is a ChartPoint, so it is
-    guarded when it is built.  If one leaves the guarded chart, or is not
-    finite (a NaN or overflowing field), the trajectory is truncated with
-    exit_flag "boundary"; a singular constraint Gram matrix en route
-    truncates with "singular"; a step whose constraint residual is still
-    at or above PROJECTION_TOL after NEWTON_MAX corrections truncates with
-    "projection".  Truncation drops the offending step.
+    The stages run on flat arrays through the field core of
+    constrained_field; a ConstraintFrame is built only for a Newton
+    correction.  Every stage point, step and projected point is guarded as
+    a ChartPoint.  If one leaves the guarded chart, or is not finite (a NaN
+    or overflowing field), the trajectory is truncated with exit_flag
+    "boundary"; a singular constraint Gram matrix en route truncates with
+    "singular"; a step whose constraint residual is still at or above
+    PROJECTION_TOL after NEWTON_MAX corrections truncates with
+    "projection".  Truncation drops the offending step.  A batch x0 raises
+    ValueError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError("t_end must be nonnegative and finite")
+    if x0.q.ndim != 1:
+        raise ValueError("integrate takes a single start point, not a batch")
     cons = resolve_constraints(system, constraints)
     ham = system.hamiltonian
+    value_fns = [c.fn for c in cons]  # Constraint.value without the method call
 
-    def field(x: np.ndarray) -> np.ndarray:
-        return constrained_field(ChartPoint.from_coords(x), system, cons)
+    def field(pt: ChartPoint) -> np.ndarray:
+        return _projected(pt, cons, schrodinger_field(pt, system))
 
     def measure(pt: ChartPoint) -> np.ndarray:
-        return np.array([c.value(pt) for c in cons])
+        return np.array([float(fn(pt)) for fn in value_fns])
 
     targets = measure(x0)
 
-    def project(pt: ChartPoint):
-        """Newton-correct pt onto the start level set; returns the point
-        and its constraint values, or None if NEWTON_MAX corrections leave
-        the residual at or above PROJECTION_TOL."""
+    def project(x: np.ndarray, pt: ChartPoint):
+        """Newton-correct x (pt) onto the start level set: the corrected x,
+        its point and values, or None if NEWTON_MAX corrections leave the
+        residual at or above PROJECTION_TOL."""
         for i in range(NEWTON_MAX + 1):
             phi = measure(pt)
             residual = phi - targets
             if np.abs(residual).max() < PROJECTION_TOL:
-                return pt, phi
+                return x, pt, phi
             if i == NEWTON_MAX:
                 return None
             frame = constraint_frame(cons, pt)
-            pt = ChartPoint.from_coords(pt.coords() - frame.normals.T @ (frame.gram_inv @ residual))
+            x = x - frame.normals.T @ (frame.gram_inv @ residual)
+            pt = ChartPoint.from_coords(x)
 
-    x = x0.coords()
+    x, point = x0.coords(), x0  # each step's first stage reuses its point
     times = [0.0]
     states = [x]
     values = [targets]
@@ -151,19 +169,20 @@ def integrate(
     while t < t_end - 1e-12 * max(1.0, abs(t_end)):
         h = min(dt, t_end - t)
         try:
-            k1 = field(x)
-            k2 = field(x + 0.5 * h * k1)
-            k3 = field(x + 0.5 * h * k2)
-            k4 = field(x + h * k3)
-            point = ChartPoint.from_coords(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            k1 = field(point)
+            k2 = field(ChartPoint.from_coords(x + 0.5 * h * k1))
+            k3 = field(ChartPoint.from_coords(x + 0.5 * h * k2))
+            k4 = field(ChartPoint.from_coords(x + h * k3))
+            x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            next_point = ChartPoint.from_coords(x_next)
             if projection and cons:
-                projected = project(point)
+                projected = project(x_next, next_point)
                 if projected is None:
                     flag = "projection"
                     break
-                point, measured = projected
+                x_next, next_point, measured = projected
             else:
-                measured = measure(point)
+                measured = measure(next_point)
         except SingularGramError:
             flag = "singular"
             break
@@ -171,7 +190,7 @@ def integrate(
             flag = "boundary"
             break
         t += h
-        x = point.coords()
+        x, point = x_next, next_point
         times.append(t)
         states.append(x)
         values.append(measured)

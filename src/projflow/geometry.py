@@ -248,10 +248,8 @@ def apply_g_inv(point: ChartPoint, v) -> np.ndarray:
         p = p.reshape(p.shape[:1] + rows + p.shape[1:])
         p_last = p_last.reshape(p_last.shape + rows + (1,))
     vq, vp = v[..., :m], v[..., m:]
-    out = np.empty_like(v)
-    out[..., :m] = 0.25 * (vq / p + vq.sum(axis=-1, keepdims=True) / p_last)
-    out[..., m:] = p * (vp - np.vecdot(vp, p, keepdims=True))
-    return out
+    return np.concatenate([0.25 * (vq / p + vq.sum(axis=-1, keepdims=True) / p_last),
+                           p * (vp - np.vecdot(vp, p, keepdims=True))], axis=-1)
 
 
 def geometry_at(point: ChartPoint) -> PointGeometry:

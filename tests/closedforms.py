@@ -7,7 +7,8 @@ back through the embedding with the full chart Jacobian embed_jacobian, a
 route the library itself no longer takes.  The helpers that only tests
 call live here too: the Fubini-Study distance, the type decomposition,
 the single-constraint orthogonality, the two-constraint determinant, the
-Lagrange multipliers of a system and the finite-difference gradient.
+Lagrange multipliers of a system and the finite-difference gradient, and
+a plain RK4 reference of integrate.
 """
 
 import math
@@ -19,15 +20,18 @@ from projflow import (
     AngularPoint,
     ChartDomainError,
     ChartPoint,
+    SingularGramError,
     StateVector,
     algebraic_constraint,
     apply_g_inv,
     chart_from_state,
+    constrained_field,
     constraint_frame,
     embed,
     geometry_at,
     schrodinger_field,
 )
+from projflow import dynamics
 from projflow.constraints import GRAM_SINGULAR_FLOOR
 
 FD_STEP = 1e-6
@@ -130,7 +134,69 @@ def multipliers(point, system, constraints=None):
     cons = tuple(system.constraints if constraints is None else constraints)
     if not cons:
         return np.zeros(0)
-    return constraint_frame(cons, point).multipliers(schrodinger_field(point, system))
+    frame = constraint_frame(cons, point)
+    return np.matvec(frame.gram_inv, np.matvec(frame.rows, schrodinger_field(point, system)))
+
+
+def rk4_reference(system, x0, t_end, dt, projection):
+    """A plain RK4 of the public constrained_field from x0, with the
+    post-step Newton projection onto the start level set of the system's
+    constraints through constraint_frame, built from the public API alone.
+
+    Steps, truncation rules and Newton limits are the ones integrate
+    documents, with NEWTON_MAX and PROJECTION_TOL read at call time.
+    Returns times, states (flat coordinates), constraint values, energies
+    and exit_flag, one sample per accepted step.
+    """
+    cons = tuple(system.constraints)
+    ham = system.hamiltonian
+
+    def values(pt):
+        return np.array([c.value(pt) for c in cons])
+
+    def newton(x, pt):
+        for i in range(dynamics.NEWTON_MAX + 1):
+            residual = values(pt) - targets
+            if np.abs(residual).max() < dynamics.PROJECTION_TOL:
+                return x, pt
+            if i == dynamics.NEWTON_MAX:
+                return None
+            frame = constraint_frame(cons, pt)
+            x = x - frame.normals.T @ (frame.gram_inv @ residual)
+            pt = ChartPoint.from_coords(x)
+
+    x = x0.coords()
+    targets = values(x0)
+    out = SimpleNamespace(times=[0.0], states=[x], values=[targets], energies=[ham.value(x0)],
+                          exit_flag="completed")
+    t = 0.0
+    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
+        h = min(dt, t_end - t)
+        try:
+            k = [constrained_field(ChartPoint.from_coords(x), system)]
+            for scale in (0.5 * h, 0.5 * h, h):
+                k.append(constrained_field(ChartPoint.from_coords(x + scale * k[-1]), system))
+            x_new = x + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+            pt = ChartPoint.from_coords(x_new)
+            if projection and cons:
+                corrected = newton(x_new, pt)
+                if corrected is None:
+                    out.exit_flag = "projection"
+                    break
+                x_new, pt = corrected
+        except SingularGramError:
+            out.exit_flag = "singular"
+            break
+        except ChartDomainError:
+            out.exit_flag = "boundary"
+            break
+        t += h
+        x = x_new
+        out.times.append(t)
+        out.states.append(x)
+        out.values.append(values(pt))
+        out.energies.append(ham.value(pt))
+    return out
 
 
 def trajectory_point(traj, i):

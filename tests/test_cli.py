@@ -7,8 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projflow import ChartPoint, schrodinger_field, single_spin_conserved_sx
-from projflow import cli
+from projflow import (
+    ChartPoint,
+    constrained_field,
+    integrate,
+    pushforward_to_angular,
+    schrodinger_field,
+    single_spin_conserved_sx,
+)
+from projflow import cli, dynamics
+from projflow.systems import angular_coords
 from projflow.cli import main
 import closedforms as cf
 
@@ -17,6 +25,8 @@ SIGMA_Y = [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
 # json writes NaN, and json.load reads it back
 NAN_OBSERVABLE = {"system": {"name": "diagonal", "n": 2, "energies": [1.0, 0.0],
                              "constraints": [{"kind": "observable", "matrix": [[float("nan"), 1.0], [1.0, 0.0]]}]}}
+
+BATCH_POINT = {"q": [[0.9], [1.2]], "p": [[0.3], [0.4]]}
 
 
 def write_config(path, payload):
@@ -122,6 +132,27 @@ class TestSimulate:
         assert main(["simulate", cfg]) == 3
         _, rows = read_csv(out)
         assert rows[-1][-1] == "singular"
+
+    def test_truncated_csv_bytes(self, tmp_path, monkeypatch):
+        # one Newton correction per step leaves the residual too large, so
+        # the run stops after a few rows; every cell reads as "%.17g" % v
+        # and the last row carries the flag
+        monkeypatch.setattr(dynamics, "NEWTON_MAX", 1)
+        spin = single_spin_conserved_sx()
+        traj = integrate(spin, ChartPoint([0.9], [0.3]), 3.0, 0.15)
+        out = tmp_path / "trunc.csv"
+        cfg = write_config(tmp_path / "cfg.json", {"system": {"name": "spin-half-sx"},
+                                                   "initial_point": {"q": [0.9], "p": [0.3]},
+                                                   "t_end": 3.0, "dt": 0.15, "output_path": str(out)})
+        assert main(["simulate", cfg]) == 3
+        lines = ["t,q_1,p_1,phi_1,H,exit_flag"]
+        for i in range(len(traj)):
+            cells = [traj.times[i], *np.mod(traj.qs[i], 2.0 * math.pi), *traj.ps[i],
+                     *traj.constraint_values[i], traj.energies[i]]
+            flag = "projection" if i == len(traj) - 1 else "ok"
+            lines.append(",".join(["%.17g" % v for v in cells] + [flag]))
+        assert len(lines) == 7 and lines[-1].endswith(",projection")
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_overflowing_field_exits_3(self, tmp_path):
         # every entry is finite, but the gap 1e308 overflows the RK4 sum
@@ -233,11 +264,17 @@ class TestConfigErrors:
             ("check", {"system": {"name": "two-qubit-product",
                                   "constraints": [{"kind": "observable", "matrix": np.eye(4).tolist()}]}},
              "system 'two-qubit-product' has fixed constraints"),
+            # a batch where one point belongs: check used to end in a
+            # ChartDomainError traceback, simulate in a reshape error
+            ("check", {"system": {"name": "spin-half-sx"}, "points": [BATCH_POINT]},
+             "bad points entry: q and p must be flat lists"),
+            ("simulate", {"system": {"name": "spin-half-sx"}, "initial_point": BATCH_POINT,
+                          "output_path": "unused.csv"}, "bad initial_point: q and p must be flat lists"),
         ],
         ids=["point-pairs", "point-outside-chart", "points-empty", "grid-not-object", "constraints-not-list",
              "constraint-not-object", "observable-not-n-by-n", "n-not-integer", "observable-pairs-not-hermitian",
              "observable-not-finite-check", "observable-not-finite-field", "observable-not-finite-simulate",
-             "observable-on-fixed-system"],
+             "observable-on-fixed-system", "points-entry-batch", "initial-point-batch"],
     )
     def test_malformed_entries(self, tmp_path, capsys, command, payload, message):
         assert main([command, write_config(tmp_path / "cfg.json", payload)]) == 2
@@ -400,6 +437,29 @@ class TestField:
             assert row[-1] == "ok"
             expected = cf.spin_angular_field(theta, phi)
             assert [float(v) for v in row[2:4]] == pytest.approx(expected, abs=1e-12)
+
+    def test_singular_node_csv_bytes(self, tmp_path):
+        # the middle theta row holds the singular points (pi/2, 0) and
+        # (pi/2, pi); rows read as "%.17g" % v per cell, nan,nan,singular there
+        spin = single_spin_conserved_sx()
+        out = tmp_path / "field.csv"
+        grid = {"kind": "angular", "theta_min": math.pi / 2 - 0.5, "theta_max": math.pi / 2 + 0.5,
+                "theta_count": 3, "phi_min": 0.0, "phi_max": 1.5 * math.pi, "phi_count": 4}
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"system": {"name": "spin-half-sx"}, "grid": grid, "output_path": str(out)})
+        assert main(["field", cfg]) == 0
+        nodes = np.array([(a, b) for a in np.linspace(math.pi / 2 - 0.5, math.pi / 2 + 0.5, 3)
+                          for b in np.linspace(0.0, 1.5 * math.pi, 4)])
+        point = ChartPoint.from_coords(angular_coords(nodes[:, 0], nodes[:, 1]))
+        rates = np.stack(pushforward_to_angular(point, constrained_field(point, spin)), axis=-1)
+        lines = ["theta,phi,theta_dot,phi_dot,flag"]
+        for (a, b), rate in zip(nodes, rates):
+            if np.isfinite(rate).all():
+                lines.append(",".join(["%.17g" % v for v in (a, b, *rate)] + ["ok"]))
+            else:
+                lines.append(",".join(["%.17g" % a, "%.17g" % b, "nan", "nan", "singular"]))
+        assert [line.endswith(",nan,nan,singular") for line in lines[1:]] == [False] * 4 + [True, False] * 2 + [False] * 4
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_grid_outside_chart_exits_2(self, tmp_path):
         grid = self.sphere_grid()

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from projflow import (
@@ -13,6 +14,7 @@ from projflow import (
     constrained_field,
     diagonal_system,
     integrate,
+    observable_constraint,
     product_surface_sample,
     sample_interior_point,
     schrodinger_field,
@@ -259,11 +261,73 @@ class TestIntegrate:
         assert traj.exit_flag == "singular"
         assert len(traj) == 1
 
+    def test_batch_start_rejected(self, spin):
+        # a batch used to integrate every member and fail only when the
+        # trajectory was reshaped
+        with pytest.raises(ValueError, match="single start point"):
+            integrate(spin, ChartPoint([[0.9], [1.2]], [[0.3], [0.4]]), 1.0, 0.01)
+
     def test_fixed_point_stays_exactly(self, spin):
         traj = integrate(spin, ChartPoint([np.pi / 2], [0.25]), 1.0, 0.01)
         assert traj.exit_flag == "completed"
         assert np.abs(traj.qs - traj.qs[0]).max() == 0.0
         assert np.abs(traj.ps - traj.ps[0]).max() == 0.0
+
+
+def assert_matches_reference(system, x0, t_end, dt, projection=True):
+    """integrate against closedforms.rk4_reference, sample for sample;
+    returns the trajectory."""
+    traj = integrate(system, x0, t_end, dt, projection=projection)
+    ref = cf.rk4_reference(system, x0, t_end, dt, projection)
+    assert traj.exit_flag == ref.exit_flag
+    assert len(traj) == len(ref.times)
+    pairs = [(traj.times, ref.times), (np.hstack([traj.qs, traj.ps]), ref.states),
+             (traj.constraint_values, np.reshape(ref.values, traj.constraint_values.shape)),
+             (traj.energies, ref.energies)]
+    for got, want in pairs:
+        assert np.abs(got - np.asarray(want)).max() <= 1e-15
+    return traj
+
+
+class TestIntegrateAgainstReference:
+    """integrate is the plain RK4 and Newton loop over the public
+    constrained_field and constraint_frame, to 1e-15 at every sample."""
+
+    @pytest.mark.parametrize("projection", [True, False])
+    def test_worked_systems(self, two_qubit, spin, projection):
+        assert_matches_reference(two_qubit, product_surface_sample(5), 0.3, 1e-2, projection)
+        assert_matches_reference(spin, ChartPoint([0.9], [0.3]), 0.5, 1e-2, projection)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=2),
+           st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    def test_random_observable_constraints(self, n, count, seed, projection):
+        rng = np.random.default_rng(seed)
+        observables = []
+        for i in range(count):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            observables.append(observable_constraint(0.5 * (a + a.conj().T), "a%d" % i))
+        system = diagonal_system(n, rng.uniform(-2.0, 2.0, size=n), tuple(observables))
+        assert_matches_reference(system, sample_interior_point(rng, n - 1), 0.05, 1e-2, projection)
+
+    @pytest.mark.parametrize("projection", [True, False])
+    def test_boundary_truncation(self, projection):
+        phi = algebraic_constraint(
+            "q-plus-log-p",
+            lambda pt: float(pt.q[0] + np.log(pt.p[0])),
+            lambda pt: np.array([1.0, 1.0 / pt.p[0]]),
+        )
+        system = diagonal_system(2, [1.0, 0.0], (phi,))
+        traj = assert_matches_reference(system, ChartPoint([0.0], [0.5]), 60.0, 0.05, projection)
+        assert traj.exit_flag == "boundary" and len(traj) > 1
+
+    def test_singular_truncation(self, spin):
+        assert assert_matches_reference(spin, ChartPoint([0.0], [0.5]), 1.0, 0.01).exit_flag == "singular"
+
+    def test_projection_truncation(self, spin, monkeypatch):
+        monkeypatch.setattr(dynamics, "NEWTON_MAX", 1)
+        traj = assert_matches_reference(spin, ChartPoint([0.9], [0.3]), 3.0, 0.2)
+        assert traj.exit_flag == "projection" and len(traj) > 1
 
 
 class TestUnitaryOracle:

@@ -51,10 +51,8 @@ from .geometry import (
     nijenhuis_tensor,
 )
 from .systems import (
-    AngularPoint,
     SystemDefinition,
     diagonal_system,
-    from_angular,
     product_surface_sample,
     pushforward_to_angular,
     sample_interior_point,
@@ -66,7 +64,6 @@ from .systems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularPoint",
     "ChartDomainError",
     "ChartPoint",
     "ConfigError",
@@ -91,7 +88,6 @@ __all__ = [
     "diagonal_system",
     "embed",
     "equivalence_report",
-    "from_angular",
     "geometry_at",
     "gram_covariance_check",
     "gram_matrix",

@@ -42,7 +42,6 @@ from .systems import (
 # sampled check points keep clear of these.
 SPIN_SINGULAR_POINTS = ((0.0, 0.5), (math.pi, 0.5), (2.0 * math.pi, 0.5))
 VALIDATE_TOL = 1e-8
-VALIDATE_NIJENHUIS_TOL = 1e-4
 # check and validate evaluate their points in batches of at most about this
 # many entries of a per-point tensor stack, so that peak memory stays flat
 # in the number of points at any n
@@ -398,13 +397,12 @@ def cmd_validate(cfg: RunConfig) -> int:
     dim = 2 * pairs
     probes = _probe_observables(system.n)
     samples = [sample_interior_point(rng, pairs) for _ in range(cfg.num_points)]
-    # a point's largest tensor stack is J over its 2 dim + 1 Nijenhuis stencil points
-    passes = [_validate_residuals(batch, probes) for batch in _batches(samples, (2 * dim + 1) * dim * dim)]
+    # a point's largest tensor is its Nijenhuis tensor, dim^3 entries
+    passes = [_validate_residuals(batch, probes) for batch in _batches(samples, dim ** 3)]
     checks = []
     for name in passes[0]:
         worst = float(np.max([residuals[name] for residuals in passes]))
-        tol = VALIDATE_NIJENHUIS_TOL if name == "nijenhuis" else VALIDATE_TOL
-        checks.append({"name": name, "max_residual": worst, "tolerance": tol, "pass": worst < tol})
+        checks.append({"name": name, "max_residual": worst, "tolerance": VALIDATE_TOL, "pass": worst < VALIDATE_TOL})
     all_pass = all(c["pass"] for c in checks)
     payload = {
         "system": system.name,

@@ -2,7 +2,7 @@
 
 
 class ChartDomainError(ValueError):
-    """A point (or a stencil around it) lies outside the open chart."""
+    """A point lies outside the open chart."""
 
 
 class DegenerateGeometryError(ChartDomainError):

@@ -48,7 +48,6 @@ from .errors import ChartDomainError, DegenerateGeometryError
 # margin, since g and g^{-1} carry 1/p_nu and 1/(1 - sum p) entries; no
 # geometry, field or embedding evaluation checks the chart domain again.
 BOUNDARY_MARGIN = 1e-9
-NIJENHUIS_STEP = 1e-5  # coordinate step of the centred differences in nijenhuis_tensor
 
 
 def inside_chart(x) -> np.ndarray:
@@ -279,35 +278,39 @@ def geometry_at(point: ChartPoint) -> PointGeometry:
 
 
 def nijenhuis_tensor(point: ChartPoint) -> np.ndarray:
-    """Discretised integrability obstruction of the complex structure,
+    """Integrability obstruction of the complex structure,
 
         N^c_ab = J^c_d d_[a J^d_b] - J^d_[a d_|d| J^c_b],
 
     with coordinate partials in place of covariant derivatives (the
     combination is independent of the choice of symmetric connection).
     Returned with index layout N[..., c, a, b]; it is antisymmetric in
-    (a, b) by construction.  The finite-difference stencil point +-
-    NIJENHUIS_STEP along every coordinate must stay inside the guarded
-    chart.  The 2 dim stencil points and the centre of every point of a
-    batch go through one geometry_at call, which holds (2 dim + 1) dim^2
-    entries of each tensor per point: evaluate a large batch in slices.
+    (a, b) by construction.  J = [[0, A], [B, 0]] depends on p only, with
+    A = (P^{-1} + 1 1^T / p_n) / 2 and B = -2 (P - p p^T), so its partials
+    are exact: d_q J = 0 and
+
+        d_{p_k} A = (-e_k e_k^T / p_k^2 + 1 1^T / p_n^2) / 2,
+        d_{p_k} B = -2 (e_k e_k^T - e_k p^T - p e_k^T).
+
+    Every point of a batch holds dim^3 entries of dJ and of N.
     """
-    dim = 2 * point.m
-    x0 = point.coords()[..., None, :]
-    steps = NIJENHUIS_STEP * np.eye(dim)
-    stencil = np.concatenate([x0 + steps, x0 - steps, x0], axis=-2)
-    js = geometry_at(ChartPoint.from_coords(stencil.reshape(-1, dim))).j
-    js = js.reshape(stencil.shape[:-1] + (dim, dim))
-    dj = (js[..., :dim, :, :] - js[..., dim:2 * dim, :, :]) / (2.0 * NIJENHUIS_STEP)
-    j = js[..., -1, :, :]
+    m = point.m
+    dim = 2 * m
+    p = point.p
+    p_last = np.asarray(point.p_last)[..., None, None, None]
+    eye = np.eye(m)
+    ekk = eye[:, :, None] * eye[:, None, :]  # [k, i, j] = (e_k e_k^T)_ij
+    dj = np.zeros(p.shape[:-1] + (dim, dim, dim))  # dj[..., a, c, b] = d_a J^c_b
+    dj[..., m:, :m, m:] = 0.5 * (1.0 / p_last ** 2 - ekk / (p ** 2)[..., :, None, None])
+    dj[..., m:, m:, :m] = -2.0 * (ekk - eye[:, :, None] * p[..., None, None, :]
+                                  - eye[:, None, :] * p[..., None, :, None])
+    j = geometry_at(point).j
     t1 = np.einsum("...cd,...adb->...cab", j, dj)
     t2 = np.einsum("...da,...dcb->...cab", j, dj)
     return 0.5 * (t1 - t1.mT) - 0.5 * (t2 - t2.mT)
 
 
 def nijenhuis_residual(point: ChartPoint) -> float:
-    """Max-norm of the discretised Nijenhuis tensor, per point of a batch;
-    approximately zero (up to O(NIJENHUIS_STEP^2) finite-difference error)
-    on an integrable structure."""
+    """Max-norm of the Nijenhuis tensor, per point of a batch; zero up to
+    roundoff on the integrable structure of the chart."""
     return np.abs(nijenhuis_tensor(point)).max(axis=(-3, -2, -1))
-

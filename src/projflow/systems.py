@@ -41,7 +41,7 @@ from typing import Tuple
 import numpy as np
 
 from .constraints import Constraint, algebraic_constraint, diagonal_observable, observable_constraint
-from .errors import ChartDomainError, ConfigError
+from .errors import ConfigError
 from .geometry import ChartPoint
 
 
@@ -173,33 +173,13 @@ def single_spin_conserved_sx() -> SystemDefinition:
     )
 
 
-@dataclass(frozen=True)
-class AngularPoint:
-    """Spherical angles on the Bloch sphere; theta in (0, pi) excludes the
-    poles, phi is taken modulo 2*pi."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        theta = float(self.theta)
-        if not 0.0 < theta < math.pi:
-            raise ChartDomainError("polar angle must lie strictly between 0 and pi")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", float(np.mod(self.phi, 2.0 * math.pi)))
-
-
 def angular_coords(theta, phi) -> np.ndarray:
     """Flat chart coordinates (q, p) of spherical angles, p = sin^2(theta/2)
     and q = -phi (mod 2*pi), on a last axis of length 2; elementwise over
-    arrays of angles of one shape, and unchecked (from_angular guards)."""
+    arrays of angles of one shape, and unchecked: inside_chart or a
+    ChartPoint built from them is the guard."""
     q = np.mod(-np.mod(phi, 2.0 * math.pi), 2.0 * math.pi)
     return np.stack([q, np.sin(0.5 * theta) ** 2], axis=-1)
-
-
-def from_angular(angular: AngularPoint) -> ChartPoint:
-    """Sphere to chart: p = sin^2(theta/2), q = -phi (mod 2*pi)."""
-    return ChartPoint.from_coords(angular_coords(angular.theta, angular.phi))
 
 
 def pushforward_to_angular(point: ChartPoint, velocity) -> Tuple[float, float]:

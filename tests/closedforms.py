@@ -8,16 +8,18 @@ route the library itself no longer takes.  The helpers that only tests
 call live here too: the Fubini-Study distance, the type decomposition,
 the single-constraint orthogonality, the two-constraint determinant, the
 Lagrange multipliers of a system and the finite-difference gradient, and
-a plain RK4 reference of integrate.
+a plain RK4 reference of integrate, the Bloch-sphere angles, and the
+finite-difference Nijenhuis stencil that the library's exact tensor
+replaced.
 """
 
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from projflow import (
-    AngularPoint,
     ChartDomainError,
     ChartPoint,
     SingularGramError,
@@ -33,6 +35,7 @@ from projflow import (
 )
 from projflow import dynamics
 from projflow.constraints import GRAM_SINGULAR_FLOOR
+from projflow.systems import angular_coords
 
 FD_STEP = 1e-6
 # The condition limit constraint_frame once tested next to its floor; the
@@ -244,6 +247,26 @@ def embed_jacobian_fd(point, step=1e-6):
         fm = embed(ChartPoint.from_coords(xm)).amplitudes
         dpsi[a] = (fp - fm) / (2.0 * step)
     return dpsi
+
+
+def nijenhuis_stencil(point, step=1e-5):
+    """Nijenhuis tensor N[..., c, a, b] with dJ from centred differences of
+    geometry_at, the oracle for the exact geometry.nijenhuis_tensor.
+
+    Errs by about step^2 / min(p, p_last)^3.  The stencil point +- step
+    along every coordinate must stay inside the guarded chart.
+    """
+    dim = 2 * point.m
+    x0 = point.coords()[..., None, :]
+    steps = step * np.eye(dim)
+    stencil = np.concatenate([x0 + steps, x0 - steps], axis=-2)
+    js = geometry_at(ChartPoint.from_coords(stencil.reshape(-1, dim))).j
+    js = js.reshape(stencil.shape[:-1] + (dim, dim))
+    dj = (js[..., :dim, :, :] - js[..., dim:, :, :]) / (2.0 * step)
+    j = geometry_at(point).j
+    t1 = np.einsum("...cd,...adb->...cab", j, dj)
+    t2 = np.einsum("...da,...dcb->...cab", j, dj)
+    return 0.5 * (t1 - t1.mT) - 0.5 * (t2 - t2.mT)
 
 
 def pullback_tensors(psi, dpsi):
@@ -486,6 +509,27 @@ def exact_unitary_oracle(system, x0, t):
     amp = embed(x0, system.n).amplitudes
     evolved = amp * np.exp(-1j * system.hamiltonian.matrix * t)
     return chart_from_state(StateVector(evolved))
+
+
+@dataclass(frozen=True)
+class AngularPoint:
+    """Spherical angles on the Bloch sphere; theta in (0, pi) excludes the
+    poles, phi is taken modulo 2*pi."""
+
+    theta: float
+    phi: float
+
+    def __post_init__(self):
+        theta = float(self.theta)
+        if not 0.0 < theta < math.pi:
+            raise ChartDomainError("polar angle must lie strictly between 0 and pi")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", float(np.mod(self.phi, 2.0 * math.pi)))
+
+
+def from_angular(angular):
+    """Sphere to chart: p = sin^2(theta/2), q = -phi (mod 2*pi)."""
+    return ChartPoint.from_coords(angular_coords(angular.theta, angular.phi))
 
 
 def to_angular(point):

@@ -236,19 +236,20 @@ class TestClosedForm:
 
 class TestNijenhuis:
     def test_two_level_flat(self):
-        assert nijenhuis_residual(ChartPoint([0.0], [0.5])) < 1e-4
+        assert nijenhuis_residual(ChartPoint([0.0], [0.5])) < 1e-8
 
     def test_four_level_center(self):
         pt = ChartPoint([0.0, 0.0, 0.0], [0.25, 0.25, 0.25])
-        assert nijenhuis_residual(pt) < 1e-4
+        assert nijenhuis_residual(pt) < 1e-8
 
     def test_antisymmetry_exact(self, rng):
         tensor = nijenhuis_tensor(sample_interior_point(rng, 2))
         assert np.abs(tensor + tensor.transpose(0, 2, 1)).max() == 0.0
 
-    def test_stencil_outside_chart(self):
-        with pytest.raises(ChartDomainError):
-            nijenhuis_residual(ChartPoint([0.0], [1e-6]))
+    def test_near_boundary(self):
+        # exact partials need no room around the point; roundoff grows
+        # like eps / min(p)
+        assert nijenhuis_residual(ChartPoint([0.0], [1e-6])) <= 1e-9
 
 
 class TestTypeDecompose:

@@ -22,6 +22,7 @@ from projflow import (
     geometry_at,
     gram_covariance_check,
     j_invariance_residual,
+    nijenhuis_tensor,
     observable_constraint,
     sample_interior_point,
 )
@@ -163,6 +164,19 @@ def test_geometry_matches_pullback(pairs, seed):
                                    ("j", geom.j, np.linalg.solve(g, big_omega))):
         assert np.abs(value - reference).max() <= 1e-10 * np.abs(reference).max(), name
     assert np.abs(geom.j @ geom.j + np.eye(2 * pairs)).max() <= 1e-10
+
+
+@examples
+@given(dimensions, seeds)
+def test_nijenhuis_exact_and_matches_stencil(n, seed):
+    """The exact tensor vanishes to roundoff, and the finite-difference
+    oracle agrees with it within its truncation error step^2 / min(p)^3."""
+    pt = sample_interior_point(np.random.default_rng(seed), n - 1)
+    step = 1e-5
+    exact = nijenhuis_tensor(pt)
+    assert np.abs(exact).max() <= 1e-12
+    gap = np.abs(exact - cf.nijenhuis_stencil(pt, step)).max()
+    assert gap <= step ** 2 / min(pt.p.min(), pt.p_last) ** 3
 
 
 @examples

@@ -15,6 +15,7 @@ failure (validate), 2 configuration error, 3 runtime truncation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,13 +28,13 @@ from .constraints import diagonal_observable, gram_covariance_check, observable_
 from .dynamics import constrained_field, integrate
 from .equivalence import equivalence_report
 from .errors import ChartDomainError, ConfigError
-from .geometry import ChartPoint, canonical_omega, geometry_at, inside_chart, nijenhuis_residual
+from .geometry import ChartPoint, _nijenhuis, canonical_omega, geometry_at, inside_chart
 from .systems import (
     SystemDefinition,
+    _interior_coords,
+    _product_surface_row,
     angular_coords,
-    product_surface_sample,
     pushforward_to_angular,
-    sample_interior_point,
     system_from_name,
     with_constraints,
 )
@@ -55,21 +56,27 @@ def _csv(header: str, table: np.ndarray, flags: list) -> str:
     return header + "\n" + "".join([row % (*values, flag) for values, flag in zip(table.tolist(), flags)])
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
+
+
 def _json_dump(obj, indent=0) -> str:
     """Serialise with fixed 17-significant-digit floats for determinism."""
+    kind = type(obj)  # the common leaves by exact type, before the isinstance chain
+    if kind is float:
+        return "%.17g" % obj
+    if kind is str:
+        return _encode_str(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(
-            '%s  %s: %s' % (pad, json.dumps(str(k)), _json_dump(v, indent + 1))
-            for k, v in obj.items()
-        )
+        items = ",\n".join(['%s  %s: %s' % (pad, _encode_str(str(k)), _json_dump(v, indent + 1))
+                             for k, v in obj.items()])
         return "{\n%s\n%s}" % (items, pad)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join("%s  %s" % (pad, _json_dump(v, indent + 1)) for v in obj)
+        items = ",\n".join(["%s  %s" % (pad, _json_dump(v, indent + 1)) for v in obj])
         return "[\n%s\n%s]" % (items, pad)
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -79,7 +86,7 @@ def _json_dump(obj, indent=0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return "%.17g" % obj
-    return json.dumps(str(obj))
+    return _encode_str(str(obj))
 
 
 @dataclass
@@ -291,71 +298,83 @@ def cmd_field(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_points(cfg: RunConfig) -> list:
+def _check_points(cfg: RunConfig) -> np.ndarray:
+    """The flat coordinates of the check points, one row per point."""
     if cfg.points:
-        return cfg.points
+        return np.array([pt.coords() for pt in cfg.points])
     system = cfg.system
-    rng = np.random.default_rng(cfg.seed)
-    points = []
     if system.name == "two-qubit-product":
         # Equivalence holds on the constraint surface; sample there.
-        for i in range(cfg.num_points):
-            points.append(product_surface_sample(cfg.seed + i))
-        return points
+        return np.array([_product_surface_row(cfg.seed + i) for i in range(cfg.num_points)])
+    rng = np.random.default_rng(cfg.seed)
     pairs = system.n - 1
-    while len(points) < cfg.num_points:
-        pt = sample_interior_point(rng, pairs)
-        if system.name == "spin-half-sx":
-            q, p = float(pt.q[0]), float(pt.p[0])
-            if min(math.hypot(q - sq, p - sp) for sq, sp in SPIN_SINGULAR_POINTS) < 1e-2:
-                continue
-        points.append(pt)
-    return points
+    if system.name != "spin-half-sx":
+        return _interior_coords(rng, pairs, cfg.num_points)
+    # The rows of a block are the points that single draws give, so blocks
+    # of the missing count keep what a one-at-a-time rejection loop keeps.
+    kept = []
+    while len(kept) < cfg.num_points:
+        block = _interior_coords(rng, pairs, cfg.num_points - len(kept)).tolist()
+        kept += [(q, p) for q, p in block
+                 if min(math.hypot(q - sq, p - sp) for sq, sp in SPIN_SINGULAR_POINTS) >= 1e-2]
+    return np.array(kept)
 
 
-def _batches(points: list, entries_per_point: int):
-    """The chart points of a list as consecutive batches of at most
-    BATCH_ENTRIES // entries_per_point points, and at least one."""
+def _batches(coords: np.ndarray, entries_per_point: int):
+    """The rows of flat coordinates as chart points, in consecutive batches
+    of at most BATCH_ENTRIES // entries_per_point points, and at least one."""
     size = max(1, BATCH_ENTRIES // entries_per_point)
-    for start in range(0, len(points), size):
-        yield ChartPoint.from_coords(np.array([pt.coords() for pt in points[start:start + size]]))
+    for start in range(0, len(coords), size):
+        yield ChartPoint.from_coords(coords[start:start + size])
+
+
+@functools.cache
+def _check_entry_templates(m: int):
+    """%-templates of a regular and of a singular check entry at m pairs,
+    each as _json_dump writes the entry inside the "points" list, with a
+    slot for every string "%.17g" or "%s" below: q and p first, then the
+    residuals, and tau_sign and verdict as JSON tokens."""
+    head = {"q": ["%.17g"] * m, "p": ["%.17g"] * m}
+    regular = dict(head, j_invariance_residual="%.17g", right_annihilation_residual="%.17g",
+                   left_annihilation_residual="%.17g", tau_sign="%s", verdict="%s")
+    return tuple("    " + _json_dump(fields, 2).replace('"%.17g"', "%.17g").replace('"%s"', "%s")
+                 for fields in (regular, dict(head, status="singular")))
 
 
 def cmd_check(cfg: RunConfig) -> int:
     system = cfg.system
     if not system.constraints:
         raise ConfigError("check needs a system with constraints")
-    points = _check_points(cfg)
-    dim = 2 * (system.n - 1)
-    point_reports = []
-    for batch in _batches(points, dim * dim):
-        report = equivalence_report(batch, system)
-        point_reports += [report[i] for i in range(len(batch.p))]
-    reports = []
-    singular = 0
-    verdicts = []
-    for pt, rep in zip(points, point_reports):
-        entry = {"q": list(pt.q), "p": list(pt.p)}
-        if rep.verdict == "singular":
-            entry["status"] = "singular"
-            singular += 1
+    coords = _check_points(cfg)
+    m = system.n - 1
+    dim = 2 * m
+    reports = [equivalence_report(batch, system) for batch in _batches(coords, dim * dim)]
+
+    def column(name):
+        return np.concatenate([getattr(report, name) for report in reports]).tolist()
+
+    j_res, right, left, verdicts = (column(name) for name in (
+        "j_invariance_residual", "right_annihilation_residual", "left_annihilation_residual", "verdict"))
+    tau_signs = [None] * len(verdicts) if reports[0].tau_sign is None else column("tau_sign")
+    token = {value: _json_dump(value) for value in set(verdicts + tau_signs)}
+    regular, singular = _check_entry_templates(m)
+    entries, checked = [], []
+    for i, row in enumerate(coords.tolist()):
+        if verdicts[i] == "singular":
+            entries.append(singular % tuple(row))
         else:
-            entry.update(rep.to_dict())
-            verdicts.append(rep.verdict)
-        reports.append(entry)
+            entries.append(regular % (*row, j_res[i], right[i], left[i], token[tau_signs[i]], token[verdicts[i]]))
+            checked.append(i)
     aggregate = {
-        "verdict": "equivalent" if verdicts and all(v == "equivalent" for v in verdicts) else "not_equivalent",
-        "points_checked": len(verdicts),
-        "singular_excluded": singular,
-        "max_j_invariance_residual": max(
-            (r["j_invariance_residual"] for r in reports if "j_invariance_residual" in r), default=0.0
-        ),
-        "max_right_annihilation_residual": max(
-            (r["right_annihilation_residual"] for r in reports if "right_annihilation_residual" in r), default=0.0
-        ),
+        "verdict": "equivalent" if checked and all(verdicts[i] == "equivalent" for i in checked)
+        else "not_equivalent",
+        "points_checked": len(checked),
+        "singular_excluded": len(verdicts) - len(checked),
+        "max_j_invariance_residual": max((j_res[i] for i in checked), default=0.0),
+        "max_right_annihilation_residual": max((right[i] for i in checked), default=0.0),
     }
-    payload = {"system": system.name, "seed": cfg.seed, "points": reports, "aggregate": aggregate}
-    text = _json_dump(payload) + "\n"
+    text = '{\n  "system": %s,\n  "seed": %s,\n  "points": [\n%s\n  ],\n  "aggregate": %s\n}\n' % (
+        _json_dump(system.name), _json_dump(cfg.seed), ",\n".join(entries), _json_dump(aggregate, 1))
     if cfg.output_path:
         _write_text(cfg.output_path, text)
         print("verdict: %s -> %s" % (aggregate["verdict"], cfg.output_path))
@@ -384,7 +403,7 @@ def _validate_residuals(points: ChartPoint, probes) -> dict:
         # and omega = Omega / 2 against the canonical form
         "two_form_inverse": g_inv @ big_omega @ g_inv @ big_omega.mT - eye,
         "canonical_symplectic": 0.5 * big_omega - canonical_omega(points.m),
-        "nijenhuis": nijenhuis_residual(points),
+        "nijenhuis": _nijenhuis(points, j),
         "gram_covariance": gram_covariance_check(probes, points),
     }
     return {name: np.abs(residual).max() for name, residual in residuals.items()}
@@ -396,7 +415,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     pairs = system.n - 1
     dim = 2 * pairs
     probes = _probe_observables(system.n)
-    samples = [sample_interior_point(rng, pairs) for _ in range(cfg.num_points)]
+    samples = _interior_coords(rng, pairs, cfg.num_points)
     # a point's largest tensor is its Nijenhuis tensor, dim^3 entries
     passes = [_validate_residuals(batch, probes) for batch in _batches(samples, dim ** 3)]
     checks = []

@@ -294,6 +294,12 @@ def nijenhuis_tensor(point: ChartPoint) -> np.ndarray:
 
     Every point of a batch holds dim^3 entries of dJ and of N.
     """
+    return _nijenhuis(point, geometry_at(point).j)
+
+
+def _nijenhuis(point: ChartPoint, j: np.ndarray) -> np.ndarray:
+    """nijenhuis_tensor from the complex structure j of the point, for a
+    caller that holds its geometry already."""
     m = point.m
     dim = 2 * m
     p = point.p
@@ -304,7 +310,6 @@ def nijenhuis_tensor(point: ChartPoint) -> np.ndarray:
     dj[..., m:, :m, m:] = 0.5 * (1.0 / p_last ** 2 - ekk / (p ** 2)[..., :, None, None])
     dj[..., m:, m:, :m] = -2.0 * (ekk - eye[:, :, None] * p[..., None, None, :]
                                   - eye[:, None, :] * p[..., None, :, None])
-    j = geometry_at(point).j
     t1 = np.einsum("...cd,...adb->...cab", j, dj)
     t2 = np.einsum("...da,...dcb->...cab", j, dj)
     return 0.5 * (t1 - t1.mT) - 0.5 * (t2 - t2.mT)

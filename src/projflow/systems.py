@@ -129,16 +129,15 @@ def two_qubit_product_system(energies=(1.0, 2.0, 3.0, 0.0)) -> SystemDefinition:
     )
 
 
-def product_surface_sample(seed: int) -> ChartPoint:
-    """Reproducible interior point on the product surface.
-
-    Draws p_2, p_3, solves the quadratic p_1 (1 - p_1 - p_2 - p_3) = p_2 p_3
-    for the smaller root (the larger is then p_4), and sets q_1 = q_2 + q_3,
-    so both constraints vanish to machine precision.
-    """
+def _product_surface_row(seed: int) -> list:
+    """The flat coordinates of product_surface_sample(seed), as a list of
+    Python floats.  One generator per seed, so the draws depend on the seed
+    alone."""
     rng = np.random.default_rng(seed)
     while True:
-        p2, p3 = rng.uniform(0.02, 0.35, size=2)
+        # rng.uniform(0.02, 0.35, size=2), mapped as _interior_coords maps a draw
+        u2, u3 = rng.random(2).tolist()
+        p2, p3 = 0.02 + (0.35 - 0.02) * u2, 0.02 + (0.35 - 0.02) * u3
         rest = 1.0 - p2 - p3
         disc = rest * rest - 4.0 * p2 * p3
         if disc < 1e-2:
@@ -147,8 +146,19 @@ def product_surface_sample(seed: int) -> ChartPoint:
         p4 = rest - p1
         if min(p1, p2, p3, p4) > 0.02:
             break
-    q2, q3 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    return ChartPoint(np.array([q2 + q3, q2, q3]), np.array([p1, p2, p3]))
+    u2, u3 = rng.random(2).tolist()
+    q2, q3 = 2.0 * math.pi * u2, 2.0 * math.pi * u3
+    return [q2 + q3, q2, q3, p1, p2, p3]
+
+
+def product_surface_sample(seed: int) -> ChartPoint:
+    """Reproducible interior point on the product surface.
+
+    Draws p_2, p_3, solves the quadratic p_1 (1 - p_1 - p_2 - p_3) = p_2 p_3
+    for the smaller root (the larger is then p_4), and sets q_1 = q_2 + q_3,
+    so both constraints vanish to machine precision.
+    """
+    return ChartPoint.from_coords(_product_surface_row(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +205,25 @@ def pushforward_to_angular(point: ChartPoint, velocity) -> Tuple[float, float]:
 # Samplers and registry
 # ---------------------------------------------------------------------------
 
+def _interior_coords(rng: np.random.Generator, pairs: int, count: int) -> np.ndarray:
+    """count rows of flat chart coordinates, row k the point that the k-th
+    sample_interior_point(rng, pairs) call would draw.  A point's
+    2 pairs + 1 uniforms are one row of rng.random, mapped as
+    Generator.uniform maps them, low + (high - low) u, so the draws agree
+    bit for bit."""
+    u = rng.random((count, 2 * pairs + 1))
+    weights = 0.2 + (1.0 - 0.2) * u[:, :pairs + 1]
+    coords = np.empty((count, 2 * pairs))
+    coords[:, :pairs] = (2.0 * np.pi) * u[:, pairs + 1:]
+    coords[:, pairs:] = weights[:, :pairs] / weights.sum(axis=1, keepdims=True)
+    return coords
+
+
 def sample_interior_point(rng: np.random.Generator, pairs: int) -> ChartPoint:
     """Random chart point bounded away from the boundary: weights drawn in
     [0.2, 1] and normalised keep every p_nu and the residual above
-    0.2 / (pairs + 1)."""
-    weights = rng.uniform(0.2, 1.0, size=pairs + 1)
-    p = weights[:pairs] / weights.sum()
-    q = rng.uniform(0.0, 2.0 * np.pi, size=pairs)
-    return ChartPoint(q, p)
+    0.2 / (pairs + 1), then phases drawn in [0, 2 pi)."""
+    return ChartPoint.from_coords(_interior_coords(rng, pairs, 1)[0])
 
 
 def with_constraints(system: SystemDefinition, constraints) -> SystemDefinition:

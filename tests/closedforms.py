@@ -10,7 +10,10 @@ the single-constraint orthogonality, the two-constraint determinant, the
 Lagrange multipliers of a system and the finite-difference gradient, and
 a plain RK4 reference of integrate, the Bloch-sphere angles, and the
 finite-difference Nijenhuis stencil that the library's exact tensor
-replaced.
+replaced.  The samplers and the check report are also rebuilt here the
+way they were built before they became array passes: one point at a time
+through Generator.uniform, and each check entry as a dict for
+cli._json_dump.
 """
 
 import math
@@ -30,10 +33,12 @@ from projflow import (
     constrained_field,
     constraint_frame,
     embed,
+    equivalence_report,
     geometry_at,
     schrodinger_field,
 )
 from projflow import dynamics
+from projflow.cli import SPIN_SINGULAR_POINTS
 from projflow.constraints import GRAM_SINGULAR_FLOOR
 from projflow.systems import angular_coords
 
@@ -565,3 +570,68 @@ def svd_gram_rule(gram):
     smax, smin = float(sv[0]), float(sv[-1])
     cond = np.inf if smin == 0.0 else smax / smin
     return cond, smin < GRAM_SINGULAR_FLOOR * max(1.0, smax) or cond > GRAM_CONDITION_LIMIT
+
+
+def uniform_interior_point(rng, pairs):
+    """One interior chart point, drawn through Generator.uniform: weights
+    in [0.2, 1], normalised, then phases in [0, 2 pi)."""
+    weights = rng.uniform(0.2, 1.0, size=pairs + 1)
+    p = weights[:pairs] / weights.sum()
+    q = rng.uniform(0.0, 2.0 * np.pi, size=pairs)
+    return ChartPoint(q, p)
+
+
+def uniform_product_surface_point(seed):
+    """The product-surface point of a seed, drawn through Generator.uniform:
+    p_2, p_3 until the smaller root p_1 and p_4 clear 0.02, then q_2, q_3."""
+    rng = np.random.default_rng(seed)
+    while True:
+        p2, p3 = rng.uniform(0.02, 0.35, size=2)
+        rest = 1.0 - p2 - p3
+        disc = rest * rest - 4.0 * p2 * p3
+        if disc < 1e-2:
+            continue
+        p1 = 0.5 * (rest - math.sqrt(disc))
+        if min(p1, p2, p3, rest - p1) > 0.02:
+            break
+    q2, q3 = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    return ChartPoint(np.array([q2 + q3, q2, q3]), np.array([p1, p2, p3]))
+
+
+def spin_check_points(seed, num_points):
+    """The sampled check points of the spin system, one draw at a time,
+    each rejected within 1e-2 of a singular point."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < num_points:
+        pt = uniform_interior_point(rng, 1)
+        q, p = float(pt.q[0]), float(pt.p[0])
+        if min(math.hypot(q - sq, p - sp) for sq, sp in SPIN_SINGULAR_POINTS) < 1e-2:
+            continue
+        points.append(pt)
+    return points
+
+
+def check_payload(system, seed, points):
+    """The check report of points as one dict: an entry per point, q and p
+    then the report's fields or "status": "singular", and the aggregate."""
+    batch = equivalence_report(ChartPoint.from_coords(np.array([pt.coords() for pt in points])), system)
+    reports, verdicts = [], []
+    for i, pt in enumerate(points):
+        rep = batch[i]
+        entry = {"q": list(pt.q), "p": list(pt.p)}
+        if rep.verdict == "singular":
+            entry["status"] = "singular"
+        else:
+            entry.update(rep.to_dict())
+            verdicts.append(rep.verdict)
+        reports.append(entry)
+    checked = [r for r in reports if "status" not in r]
+    aggregate = {
+        "verdict": "equivalent" if verdicts and all(v == "equivalent" for v in verdicts) else "not_equivalent",
+        "points_checked": len(verdicts),
+        "singular_excluded": len(points) - len(verdicts),
+        "max_j_invariance_residual": max((r["j_invariance_residual"] for r in checked), default=0.0),
+        "max_right_annihilation_residual": max((r["right_annihilation_residual"] for r in checked), default=0.0),
+    }
+    return {"system": system.name, "seed": seed, "points": reports, "aggregate": aggregate}

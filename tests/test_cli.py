@@ -10,10 +10,14 @@ import pytest
 from projflow import (
     ChartPoint,
     constrained_field,
+    diagonal_observable,
+    diagonal_system,
     integrate,
+    observable_constraint,
     pushforward_to_angular,
     schrodinger_field,
     single_spin_conserved_sx,
+    two_qubit_product_system,
 )
 from projflow import cli, dynamics
 from projflow.systems import angular_coords
@@ -554,6 +558,86 @@ class TestCheck:
         payload = json.loads(out.read_text())
         assert payload["points"][0]["status"] == "singular"
         assert payload["aggregate"]["singular_excluded"] == 1
+
+
+class TestCheckWriter:
+    """check writes its entries through one template per chart size; the
+    bytes are _json_dump of the report assembled point by point, from the
+    points drawn one at a time."""
+
+    def run(self, tmp_path, config):
+        out = tmp_path / "check.json"
+        assert main(["check", write_config(tmp_path / "cfg.json", dict(config, output_path=str(out)))]) == 0
+        return out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_constraints(self, tmp_path, n, count):
+        rng = np.random.default_rng(10 * n + count)
+        energies = rng.uniform(-2.0, 2.0, size=n).tolist()
+        matrices = []
+        for _ in range(count):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            matrices.append(0.5 * (a + a.conj().T))
+        specs = [{"kind": "observable", "matrix": np.stack([h.real, h.imag], axis=-1).tolist(), "name": "c%d" % k}
+                 for k, h in enumerate(matrices)]
+        seed = 3 * n + count
+        text = self.run(tmp_path, {"system": {"name": "diagonal", "n": n, "energies": energies,
+                                              "constraints": specs}, "num_points": 4, "seed": seed})
+        system = diagonal_system(n, energies, [observable_constraint(h, "c%d" % k) for k, h in enumerate(matrices)])
+        draws = np.random.default_rng(seed)
+        points = [cf.uniform_interior_point(draws, n - 1) for _ in range(4)]
+        assert text == cli._json_dump(cf.check_payload(system, seed, points)) + "\n"
+        # at n = 2 three constraints are dependent, and every point is singular
+        signs = {entry["tau_sign"] for entry in json.loads(text)["points"] if "status" not in entry}
+        assert signs <= ({"plus", "minus", "neither"} if count == 2 else {None})
+
+    def test_all_points_singular(self, tmp_path):
+        """A duplicated constraint makes every Gram matrix singular: no
+        point is checked and the maxima read 0."""
+        population = {"kind": "population", "index": 1}
+        text = self.run(tmp_path, {"system": {"name": "diagonal", "n": 3, "energies": [0.5, -1.0, 2.0],
+                                              "constraints": [population, population]},
+                                   "num_points": 5, "seed": 8})
+        system = diagonal_system(3, [0.5, -1.0, 2.0], [diagonal_observable([1.0, 0.0, 0.0], "p1")] * 2)
+        draws = np.random.default_rng(8)
+        points = [cf.uniform_interior_point(draws, 2) for _ in range(5)]
+        assert text == cli._json_dump(cf.check_payload(system, 8, points)) + "\n"
+        payload = json.loads(text)
+        assert all(entry["status"] == "singular" for entry in payload["points"])
+        assert payload["aggregate"] == {"verdict": "not_equivalent", "points_checked": 0, "singular_excluded": 5,
+                                        "max_j_invariance_residual": 0, "max_right_annihilation_residual": 0}
+
+    def test_explicit_spin_points(self, tmp_path):
+        coords = [(0.0, 0.5), (1.0, 0.3), (math.pi, 0.5), (2.5, 0.8)]
+        text = self.run(tmp_path, {"system": {"name": "spin-half-sx"},
+                                   "points": [{"q": [q], "p": [p]} for q, p in coords]})
+        points = [ChartPoint([q], [p]) for q, p in coords]
+        assert text == cli._json_dump(cf.check_payload(single_spin_conserved_sx(), 0, points)) + "\n"
+        assert [entry.get("status") for entry in json.loads(text)["points"]] == ["singular", None, "singular", None]
+
+    @pytest.mark.parametrize("name", ["two-qubit-product", "spin-half-sx"])
+    def test_sampled_points(self, tmp_path, name):
+        """Seed 4 rejects the spin system's ninth draw."""
+        text = self.run(tmp_path, {"system": {"name": name}, "num_points": 16, "seed": 4})
+        if name == "spin-half-sx":
+            system, points = single_spin_conserved_sx(), cf.spin_check_points(4, 16)
+        else:
+            system, points = two_qubit_product_system(), [cf.uniform_product_surface_point(4 + i) for i in range(16)]
+        assert text == cli._json_dump(cf.check_payload(system, 4, points)) + "\n"
+
+
+def test_json_dump_bytes():
+    """Floats in 17 significant digits whatever their type, integers and
+    bools as JSON, and strings escaped as json.dumps escapes them."""
+    for value, expected in ((0.1, "0.10000000000000001"), (np.float64(0.1), "0.10000000000000001"),
+                            (np.float32(0.5), "0.5"), (7, "7"), (np.int64(-7), "-7"), (True, "true"),
+                            (False, "false"), (None, "null"), ({}, "{}"), ([], "[]"), ((), "[]")):
+        assert cli._json_dump(value) == expected
+    assert cli._json_dump({"a": [1, np.float64(2.5)], "b": {}, "c": None}) == (
+        '{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": {},\n  "c": null\n}')
+    for text in ("plain", 'a "quoted" \\ path', "\u00fcnicode \u2713", "tab\tnew\nline\x00", np.str_("numpy")):
+        assert cli._json_dump(text) == json.dumps(str(text))
 
 
 class TestValidate:

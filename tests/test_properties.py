@@ -24,9 +24,13 @@ from projflow import (
     j_invariance_residual,
     nijenhuis_tensor,
     observable_constraint,
+    product_surface_sample,
     sample_interior_point,
+    single_spin_conserved_sx,
 )
+from projflow import cli
 from projflow.geometry import BOUNDARY_MARGIN, inside_chart
+from projflow.systems import _interior_coords, _product_surface_row
 
 import closedforms as cf
 
@@ -250,3 +254,41 @@ def test_gram_spectrum_matches_svd_rule(n, seed):
             inverse = np.linalg.inv(gram)
             assert np.abs(frame.gram_inv - inverse).max() <= 1e-12 * np.abs(inverse).max()
             assert abs(frame.condition_number - cond) <= 1e-9 * cond
+
+
+# The samplers draw as Generator.uniform did one point at a time, bit for
+# bit; a numpy release that maps uniform draws differently fails these
+# instead of moving the outputs of check and validate.
+
+@examples
+@given(st.integers(min_value=1, max_value=63), st.integers(min_value=1, max_value=20), seeds)
+@example(63, 20, 0)
+def test_block_sampler_draw_order(pairs, count, seed):
+    """Row k of a block is the k-th point drawn alone, through
+    Generator.uniform and through sample_interior_point."""
+    block = _interior_coords(np.random.default_rng(seed), pairs, count)
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(block, [cf.uniform_interior_point(rng, pairs).coords() for _ in range(count)])
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(block, [sample_interior_point(rng, pairs).coords() for _ in range(count)])
+
+
+@examples
+@given(seeds)
+def test_product_surface_row_draw_order(seed):
+    row = _product_surface_row(seed)
+    assert np.array_equal(row, cf.uniform_product_surface_point(seed).coords())
+    assert np.array_equal(row, product_surface_sample(seed).coords())
+
+
+@examples
+@given(st.integers(min_value=1, max_value=40), seeds)
+@example(16, 4)  # the 9th draw is rejected
+@example(16, 629)  # the 4th
+@example(1, 686)  # the first
+def test_spin_check_points_match_rejection_loop(num_points, seed):
+    """The spin check points, drawn in blocks, are those of the loop that
+    draws and rejects one point at a time."""
+    cfg = cli.RunConfig(command="check", system=single_spin_conserved_sx(), num_points=num_points, seed=seed)
+    expected = [pt.coords() for pt in cf.spin_check_points(seed, num_points)]
+    assert np.array_equal(cli._check_points(cfg), expected)

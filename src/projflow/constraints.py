@@ -195,42 +195,47 @@ def gradient_rows(constraints: Sequence[Constraint], point: ChartPoint) -> np.nd
     return rows if rows.ndim == 2 else rows.swapaxes(0, 1)
 
 
-def _normals_and_gram(constraints: Sequence[Constraint], point: ChartPoint):
-    """The gradient rows, their metric normals g^{ab} grad_b Phi^i and their
-    exactly symmetric Gram matrix M^{ij}, at one point or over a batch."""
-    rows = gradient_rows(constraints, point)
-    normals = apply_g_inv(point, rows)
-    m = rows @ normals.mT
-    return rows, normals, 0.5 * (m + m.mT)
+def _small_gram_inverse(entries, constraints) -> Tuple[list, float]:
+    """M^{-1} = adj(M)/det(M) as nested lists and the condition estimate of
+    the Gram matrix of N <= 2 constraints, given as rows of Python floats and
+    read as symmetric, b = 0.5 (m01 + m10).  Its singular values are the
+    absolute eigenvalues (a + d)/2 +- hypot((a - d)/2, b) (b = 0 and d = a
+    when N = 1); SingularGramError under the floor or if M is not finite."""
+    a, d = entries[0][0], entries[-1][-1]
+    b = 0.5 * (entries[0][1] + entries[1][0]) if len(entries) == 2 else 0.0
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+        raise SingularGramError([c.name for c in constraints], math.nan)
+    mean, rad = abs(0.5 * (a + d)), math.hypot(0.5 * (a - d), b)
+    smax, smin = mean + rad, abs(mean - rad)
+    cond = math.inf if smin == 0.0 else smax / smin
+    if smin < GRAM_SINGULAR_FLOOR * max(1.0, smax):
+        raise SingularGramError([c.name for c in constraints], cond)
+    if len(entries) == 1:
+        return [[1.0 / a]], cond
+    det = a * d - b * b
+    return [[d / det, -b / det], [-b / det, a / det]], cond
+
+
+def _small_gram_solve(gram_inv, r) -> list:
+    """lambda_i = M_ij r_j for N <= 2, term by term, so that floats at one
+    point and (B,) arrays gram_inv[i][j], r[j] over a batch round alike."""
+    return [row[0] * r[0] + row[1] * r[1] if len(r) == 2 else row[0] * r[0] for row in gram_inv]
 
 
 def _invert_gram(m: np.ndarray, constraints) -> Tuple[np.ndarray, float]:
     """M^{-1}, exactly symmetric, and the condition estimate of a finite
-    symmetric Gram matrix M of the constraints; SingularGramError naming
-    them under the floor or if M is not finite.  For N <= 2 the singular
-    values are the absolute eigenvalues (a + d)/2 +- hypot((a - d)/2, b)
-    of the PSD M (b = 0 and d = a when N = 1), and M^{-1} = adj(M)/det(M);
-    larger sets take the SVD and LAPACK."""
+    symmetric Gram matrix M of the constraints, by _small_gram_inverse for
+    N <= 2; larger sets take the SVD and LAPACK, under the same floor."""
     if m.shape[0] <= 2:
-        entries = m.tolist()
-        a, d = entries[0][0], entries[-1][-1]
-        b = entries[0][1] if m.shape[0] == 2 else 0.0
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
-            raise SingularGramError([c.name for c in constraints], math.nan)
-        mean, rad = abs(0.5 * (a + d)), math.hypot(0.5 * (a - d), b)
-        smax, smin = mean + rad, abs(mean - rad)
-    else:
-        if not np.isfinite(m).all():
-            raise SingularGramError([c.name for c in constraints], math.nan)
-        sv = np.linalg.svd(m, compute_uv=False)
-        smax, smin = float(sv[0]), float(sv[-1])
+        m_inv, cond = _small_gram_inverse(m.tolist(), constraints)
+        return np.array(m_inv), cond
+    if not np.isfinite(m).all():
+        raise SingularGramError([c.name for c in constraints], math.nan)
+    sv = np.linalg.svd(m, compute_uv=False)
+    smax, smin = float(sv[0]), float(sv[-1])
     cond = np.inf if smin == 0.0 else smax / smin
     if smin < GRAM_SINGULAR_FLOOR * max(1.0, smax):
         raise SingularGramError([c.name for c in constraints], cond)
-    if m.shape[0] == 1:
-        return 1.0 / m, cond
-    if m.shape[0] == 2:
-        return np.array([[d, -b], [-b, a]]) / (a * d - b * b), cond
     m_inv = np.linalg.inv(m)
     return 0.5 * (m_inv + m_inv.T), cond
 
@@ -279,7 +284,10 @@ def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint) -> Co
     """
     if len(constraints) == 0:
         raise ValueError("at least one constraint is required")
-    rows, normals, m = _normals_and_gram(constraints, point)
+    rows = gradient_rows(constraints, point)
+    normals = apply_g_inv(point, rows)
+    m = rows @ normals.mT
+    m = 0.5 * (m + m.mT)  # exactly symmetric
     if m.ndim > 2:
         return ConstraintFrame(rows, normals, m, *_invert_gram_batch(m))
     return ConstraintFrame(rows, normals, m, *_invert_gram(m, constraints))

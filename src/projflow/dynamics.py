@@ -30,10 +30,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraints import (Constraint, _invert_gram, _invert_gram_batch, _normals_and_gram, constraint_frame,
+from .constraints import (Constraint, _small_gram_inverse, _small_gram_solve, constraint_frame, gradient_rows,
                           resolve_constraints)
 from .errors import ChartDomainError, SingularGramError
-from .geometry import ChartPoint
+from .geometry import ChartPoint, apply_g_inv
 
 PROJECTION_TOL = 1e-10
 # Newton corrections allowed per step before the run truncates.
@@ -65,7 +65,7 @@ def schrodinger_field(point: ChartPoint, system) -> np.ndarray:
     """Unconstrained flow omega^{ab} grad_b H = (grad_p H, -grad_q H); in
     these coordinates the conventional Hamilton equations qdot = Omega,
     pdot = 0.  Rows of shape (B, 2m) at a batch of B points."""
-    grad = system.hamiltonian.gradient(point)
+    grad = system.hamiltonian.grad(point)
     return np.concatenate([grad[..., point.m:], -grad[..., :point.m]], axis=-1)
 
 
@@ -82,18 +82,29 @@ def constrained_field(point: ChartPoint, system, constraints=None) -> np.ndarray
 
 
 def _projected(point: ChartPoint, cons: tuple, free: np.ndarray) -> np.ndarray:
-    """free - lambda_i g^{ab} grad_b Phi^i, lambda_i = M_ij grad_a Phi^j free^a,
-    from the arrays of a constraint frame without building one.  At a single
-    point a singular M or a non-finite lambda raises SingularGramError."""
+    """free - lambda_i g^{ab} grad_b Phi^i, lambda_i = M_ij grad_a Phi^j free^a.
+    At a single point a singular M or a non-finite lambda raises
+    SingularGramError; there N <= 2 constraints are solved in Python floats,
+    without a Gram array or a ConstraintFrame."""
     if not cons:
         return free
-    rows, normals, gram = _normals_and_gram(cons, point)
-    single = gram.ndim == 2
-    gram_inv, cond = _invert_gram(gram, cons) if single else _invert_gram_batch(gram)[:2]
-    lam = np.matvec(gram_inv, np.matvec(rows, free))
-    if single and not np.isfinite(lam).all():
-        raise SingularGramError([c.name for c in cons], cond)
-    return free - np.vecmat(lam, normals)
+    if point.q.ndim == 1 and len(cons) <= 2:
+        rows = gradient_rows(cons, point)
+        normals = apply_g_inv(point, rows)
+        gram_inv, cond = _small_gram_inverse((rows @ normals.T).tolist(), cons)
+        lam = _small_gram_solve(gram_inv, (rows @ free).tolist())
+        if not all(map(math.isfinite, lam)):
+            raise SingularGramError([c.name for c in cons], cond)
+        return free - np.vecmat(lam, normals)
+    frame = constraint_frame(cons, point)  # a batch marks singular points NaN, raising nothing
+    r = np.matvec(frame.rows, free)
+    if len(cons) <= 2:  # a batch, rounding as a single point does
+        lam = np.stack(_small_gram_solve(np.moveaxis(frame.gram_inv, 0, -1), r.T), axis=-1)
+    else:
+        lam = np.matvec(frame.gram_inv, r)
+        if r.ndim == 1 and not np.isfinite(lam).all():
+            raise SingularGramError([c.name for c in cons], frame.condition_number)
+    return free - np.vecmat(lam, frame.normals)
 
 
 def integrate(
@@ -107,9 +118,10 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 integration of the (constrained) flow from one point.
 
-    Samples are recorded at every accepted step (multiples of dt, with a
-    final shorter step landing exactly on t_end); each sample carries the
-    raw constraint values and the energy.  Constrained runs preserve the
+    Sample k sits at k * dt, a step of dt after sample k - 1; the step that
+    would reach t_end, to within 1e-12 * max(1, t_end), lands exactly on it
+    (shorter if t_end is no multiple of dt).  Each sample carries the raw
+    constraint values and the energy.  Constrained runs preserve the
     constraint values of the start point: with projection on (the default;
     it has no effect without constraints) up to NEWTON_MAX Newton
     corrections along the metric normals g^{-1} grad Phi pull the values
@@ -139,8 +151,8 @@ def integrate(
     def field(pt: ChartPoint) -> np.ndarray:
         return _projected(pt, cons, schrodinger_field(pt, system))
 
-    def measure(pt: ChartPoint) -> np.ndarray:
-        return np.array([float(fn(pt)) for fn in value_fns])
+    def measure(pt: ChartPoint) -> list:
+        return [float(fn(pt)) for fn in value_fns]
 
     targets = measure(x0)
 
@@ -150,13 +162,13 @@ def integrate(
         residual at or above PROJECTION_TOL."""
         for i in range(NEWTON_MAX + 1):
             phi = measure(pt)
-            residual = phi - targets
-            if np.abs(residual).max() < PROJECTION_TOL:
+            # a NaN value fails the test, as it fails every comparison
+            if all(abs(v - v0) < PROJECTION_TOL for v, v0 in zip(phi, targets)):
                 return x, pt, phi
             if i == NEWTON_MAX:
                 return None
             frame = constraint_frame(cons, pt)
-            x = x - frame.normals.T @ (frame.gram_inv @ residual)
+            x = x - frame.normals.T @ (frame.gram_inv @ np.subtract(phi, targets))
             pt = ChartPoint.from_coords(x)
 
     x, point = x0.coords(), x0  # each step's first stage reuses its point
@@ -165,9 +177,11 @@ def integrate(
     values = [targets]
     energies = [ham.value(x0)]
     flag = "completed"
-    t = 0.0
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        h = min(dt, t_end - t)
+    t, k = 0.0, 0
+    t_last = t_end - 1e-12 * max(1.0, t_end)  # a step ending at or past this ends the run on t_end
+    while t < t_last:
+        k += 1
+        h, t_next = (dt, k * dt) if k * dt < t_last else (min(dt, t_end - t), t_end)
         try:
             k1 = field(point)
             k2 = field(ChartPoint.from_coords(x + 0.5 * h * k1))
@@ -189,7 +203,7 @@ def integrate(
         except ChartDomainError:
             flag = "boundary"
             break
-        t += h
+        t = t_next
         x, point = x_next, next_point
         times.append(t)
         states.append(x)

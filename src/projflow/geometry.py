@@ -38,6 +38,7 @@ along that axis; the arithmetic per point is unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,9 @@ from .errors import ChartDomainError, DegenerateGeometryError
 # margin, since g and g^{-1} carry 1/p_nu and 1/(1 - sum p) entries; no
 # geometry, field or embedding evaluation checks the chart domain again.
 BOUNDARY_MARGIN = 1e-9
+# The guard reads a single point of up to this many pairs as Python floats,
+# cheaper there than numpy reductions, which win at larger m (m = 63).
+FLOAT_GUARD_PAIRS = 32
 
 
 def inside_chart(x) -> np.ndarray:
@@ -73,6 +77,7 @@ class ChartPoint:
             (unwrapped values allowed).
     p:      squared amplitudes, the same shape.
     p_last: the residual weight p_n = 1 - sum(p), a float or shape (B,).
+    m:      the number of coordinate pairs, n - 1.
 
     ChartPoint(q, p) and ChartPoint.from_coords(x) both run the one chart
     guard and keep a read-only copy of the coordinates; a batch passes only
@@ -82,6 +87,7 @@ class ChartPoint:
     q: np.ndarray
     p: np.ndarray
     p_last: float = field(init=False, repr=False)
+    m: int = field(init=False, repr=False)
 
     def __post_init__(self):
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
@@ -108,13 +114,18 @@ class ChartPoint:
         DegenerateGeometryError with the smallest margin.  x becomes
         read-only, and so do its views q and p."""
         m = x.shape[-1] // 2
-        if m == 0 or not np.isfinite(x).all():
+        floats = x.ndim == 1 and m <= FLOAT_GUARD_PAIRS
+        if floats:
+            xs = x.tolist()
+            # a finite sum proves every entry finite; only one that is not needs the entry-wise test
+            finite = math.isfinite(sum(xs)) or all(map(math.isfinite, xs))
+        if m == 0 or not (finite if floats else np.isfinite(x).all()):
             raise ChartDomainError("coordinates must be finite, with at least one pair")
         x.setflags(write=False)
         p = x[..., m:]
-        if x.ndim == 1:  # one point, in Python floats, which cost less than numpy scalars
-            p_last = 1.0 - float(p.sum())
-            margin = min(float(p.min()), p_last)
+        if x.ndim == 1:
+            p_last = 1.0 - float(p.sum())  # numpy's pairwise sum, as at a batch
+            margin = min(min(xs[m:]) if floats else float(p.min()), p_last)
         else:
             p_last = 1.0 - p.sum(axis=-1)
             margin = min(p.min(), p_last.min())
@@ -124,14 +135,10 @@ class ChartPoint:
         object.__setattr__(self, "q", x[..., :m])
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "p_last", p_last)
+        object.__setattr__(self, "m", m)
 
     def coords(self) -> np.ndarray:
         return np.concatenate([self.q, self.p], axis=-1)
-
-    @property
-    def m(self) -> int:
-        """Number of coordinate pairs, n - 1."""
-        return self.q.shape[-1]
 
     @property
     def margin(self):

@@ -151,8 +151,9 @@ def rk4_reference(system, x0, t_end, dt, projection):
     post-step Newton projection onto the start level set of the system's
     constraints through constraint_frame, built from the public API alone.
 
-    Steps, truncation rules and Newton limits are the ones integrate
-    documents, with NEWTON_MAX and PROJECTION_TOL read at call time.
+    Sample times (k * dt, the last one exactly t_end), step lengths,
+    truncation rules and Newton limits are the ones integrate documents,
+    with NEWTON_MAX and PROJECTION_TOL read at call time.
     Returns times, states (flat coordinates), constraint values, energies
     and exit_flag, one sample per accepted step.
     """
@@ -177,9 +178,14 @@ def rk4_reference(system, x0, t_end, dt, projection):
     targets = values(x0)
     out = SimpleNamespace(times=[0.0], states=[x], values=[targets], energies=[ham.value(x0)],
                           exit_flag="completed")
-    t = 0.0
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        h = min(dt, t_end - t)
+    step, t = 0, 0.0
+    t_last = t_end - 1e-12 * max(1.0, t_end)
+    while t < t_last:
+        step += 1
+        if step * dt < t_last:
+            h, t_next = dt, step * dt
+        else:
+            h, t_next = min(dt, t_end - t), t_end
         try:
             k = [constrained_field(ChartPoint.from_coords(x), system)]
             for scale in (0.5 * h, 0.5 * h, h):
@@ -198,7 +204,7 @@ def rk4_reference(system, x0, t_end, dt, projection):
         except ChartDomainError:
             out.exit_flag = "boundary"
             break
-        t += h
+        t = t_next
         x = x_new
         out.times.append(t)
         out.states.append(x)

@@ -195,6 +195,16 @@ class TestIntegrate:
         traj = integrate(spin, ChartPoint([0.9], [0.3]), 0.025, 0.01)
         assert traj.times[-1] == pytest.approx(0.025, abs=1e-15)
 
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 0.1), (25.0, 0.05), (0.3, 0.1), (0.007, 1e-3)])
+    def test_samples_sit_on_multiples_of_dt(self, t_end, dt):
+        # summing dt step by step drifts (0.7999999999999999 at dt = 0.1,
+        # 2.2e-13 after 500 steps of 0.05) and missed t_end
+        system = diagonal_system(3, [1.0, -0.5, 0.25])
+        traj = integrate(system, ChartPoint([0.9, 0.1], [0.3, 0.2]), t_end, dt, constraints=())
+        assert traj.exit_flag == "completed"
+        steps = round(t_end / dt)
+        assert traj.times.tolist() == [k * dt for k in range(steps)] + [t_end]
+
     def test_invalid_dt(self, spin):
         with pytest.raises(ValueError):
             integrate(spin, ChartPoint([0.9], [0.3]), 1.0, 0.0)

@@ -16,6 +16,7 @@ from projflow import (
     nijenhuis_tensor,
     sample_interior_point,
 )
+from projflow.geometry import FLOAT_GUARD_PAIRS
 
 import closedforms as cf
 from closedforms import fubini_study_distance, type_decompose
@@ -37,6 +38,38 @@ class TestChartPoint:
     def test_constructor_rejects(self, q, p):
         with pytest.raises(ValueError):
             ChartPoint(q, p)
+
+    # both single-point guard forms: Python floats up to FLOAT_GUARD_PAIRS
+    # pairs, numpy reductions past it
+    @pytest.mark.parametrize("pairs", [2, 3, FLOAT_GUARD_PAIRS + 1])
+    def test_guard_reads_every_q_entry(self, pairs):
+        p = np.full(pairs, 0.5 / pairs)
+        # finite entries whose sum overflows are inside the chart
+        for q in (np.full(pairs, 1e308), np.full(pairs, -1e308)):
+            assert np.isinf(sum(np.concatenate([q, p]).tolist()))
+            assert np.array_equal(ChartPoint(q, p).q, q)
+            assert np.array_equal(ChartPoint.from_coords(np.stack([np.concatenate([q, p])] * 2)).q[1], q)
+        # a NaN or inf in q alone, with every p fine, is outside
+        for bad in (np.nan, np.inf, -np.inf):
+            for k in {0, pairs - 1}:
+                q = np.zeros(pairs)
+                q[k] = bad
+                with pytest.raises(ChartDomainError):
+                    ChartPoint(q, p)
+                with pytest.raises(ChartDomainError):
+                    ChartPoint.from_coords(np.concatenate([q, p]))
+                with pytest.raises(ChartDomainError):
+                    ChartPoint.from_coords(np.stack([np.concatenate([np.zeros(pairs), p]), np.concatenate([q, p])]))
+
+    @pytest.mark.parametrize("pairs", [8, 16, FLOAT_GUARD_PAIRS, FLOAT_GUARD_PAIRS + 1, 63])
+    def test_single_and_batch_p_last_agree(self, pairs, rng):
+        # numpy sums 8 or more terms pairwise, in another order than a
+        # Python sum; both guards take numpy's
+        xs = np.stack([sample_interior_point(rng, pairs).coords() for _ in range(50)])
+        batch = ChartPoint.from_coords(xs)
+        singles = [ChartPoint.from_coords(x) for x in xs]
+        assert batch.p_last.tolist() == [single.p_last for single in singles]
+        assert batch.m == singles[0].m == pairs
 
 
 class TestEmbed:

@@ -68,6 +68,47 @@ def test_constrained_field_is_tangent(n, seed):
 
 
 @examples
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3), seeds)
+def test_single_point_field_matches_frame_formula(n, size, seed):
+    """constrained_field at one point, whose N <= 2 solve runs in Python
+    floats, against free - normals^T (gram_inv (rows free)) from the public
+    constraint_frame; a singular frame raises the same error in both."""
+    rng = np.random.default_rng(seed)
+    cons = tuple(observable_constraint(hermitian(rng, n), "o%d" % i) for i in range(size))
+    system = diagonal_system(n, rng.uniform(-2.0, 2.0, size=n), cons)
+    pt = sample_interior_point(rng, n - 1)
+    free = constrained_field(pt, system, ())
+    try:
+        frame = constraint_frame(cons, pt)
+    except SingularGramError as expected:
+        with pytest.raises(SingularGramError) as raised:
+            constrained_field(pt, system)
+        assert raised.value.names == expected.names
+        np.testing.assert_equal(raised.value.condition_number, expected.condition_number)
+        return
+    r = frame.rows @ free
+    want = free - frame.normals.T @ (frame.gram_inv @ r)
+    # both round the same products, in another order at most: the bound is
+    # relative to the terms of free and of normals^T gram_inv r, which
+    # cancel when the normals span the chart (n = 2, N = 2)
+    terms = np.abs(frame.normals).T @ (np.abs(frame.gram_inv) @ np.abs(r))
+    scale = max(np.abs(free).max(), terms.max())
+    assert np.abs(constrained_field(pt, system) - want).max() <= 1e-14 * scale
+
+
+def test_single_point_field_singular_error_matches_frame():
+    # the conserved-sigma_x gradient vanishes at (q, p) = (0, 1/2)
+    spin = single_spin_conserved_sx()
+    pt = ChartPoint([0.0], [0.5])
+    with pytest.raises(SingularGramError) as expected:
+        constraint_frame(spin.constraints, pt)
+    with pytest.raises(SingularGramError) as raised:
+        constrained_field(pt, spin)
+    assert raised.value.names == expected.value.names == ("sigma-x",)
+    np.testing.assert_equal(raised.value.condition_number, expected.value.condition_number)
+
+
+@examples
 @given(dimensions, seeds)
 def test_mu_invariant_under_recombination(n, seed):
     system, pt, rng = draw(n, seed)

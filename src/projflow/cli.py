@@ -115,13 +115,14 @@ def _build_constraint(spec, n: int):
         if matrix.shape != (n, n):
             raise ConfigError("observable matrix must be %d x %d, or %d x %d of [re, im] pairs, got shape %s"
                               % (n, n, n, n, matrix.shape))
-        return observable_constraint(matrix, spec.get("name", "observable"))
+        return observable_constraint(matrix, _entry(spec, "name", "observable", str, "a string"))
     if kind == "population":
         index = _entry(spec, "index", None, int, "an integer")
         if not 1 <= index <= n - 1:
             raise ConfigError("population index out of range")
         # p_k = <psi|P_k|psi>, the projector on level k
-        return diagonal_observable(np.arange(n) == index - 1, spec.get("name", "p%d" % index))
+        name = _entry(spec, "name", "p%d" % index, str, "a string")
+        return diagonal_observable(np.arange(n) == index - 1, name)
     raise ConfigError("unknown constraint kind %r" % kind)
 
 

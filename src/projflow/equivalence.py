@@ -20,8 +20,10 @@ to a block condition on tau_ab = grad_a A grad_b B - grad_a B grad_b A in
 the complex type decomposition, satisfied in particular when A and B are
 the real and imaginary parts of one holomorphic constraint.
 
-Every diagnostic takes the frame and geometry of one point or of a batch;
-at a batch each residual is a (B,) array.
+Every diagnostic reads only the ConstraintFrame of a point or a batch (rows
+R, normals g^{-1} R, M^{-1}) and omega: J = 2 g^{-1} omega in this chart, so
+R J = 2 normals omega, and no dense g^{-1} or J is built.  At a batch each
+residual is a (B,) array.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .constraints import ConstraintFrame, constraint_frame
-from .geometry import ChartPoint, PointGeometry, canonical_omega, geometry_at
+from .geometry import ChartPoint, canonical_omega
 
 EQUIVALENCE_TOL = 1e-8
 # Block vanishing is judged relative to the overall size of tau so the
@@ -79,76 +81,74 @@ class EquivalenceReport:
         }
 
 
-def modified_symplectic(frame: Optional[ConstraintFrame], geom: PointGeometry) -> np.ndarray:
-    """wtilde^{ab} = omega^{ab} - g^{ad} omega^{cb} mu_dc.
+def modified_symplectic(frame: ConstraintFrame) -> np.ndarray:
+    """wtilde^{ab} = omega^{ab} - g^{ad} omega^{cb} mu_dc
+    = omega - normals^T M^{-1} (R omega), from the frame alone.
 
-    Contracting with grad H reproduces the constrained field; with no
-    constraints (frame None) this is exactly omega^{ab}.
+    Contracting with grad H reproduces the constrained field.
     """
-    canonical = canonical_omega(geom.dim // 2)
-    if frame is None:
-        return canonical
-    return canonical - geom.g_inv @ frame.mu @ canonical
+    omega = canonical_omega(frame.rows.shape[-1] // 2)
+    return omega - frame.normals.mT @ frame.gram_inv @ (frame.rows @ omega)
 
 
-def j_invariance_residual(frame: ConstraintFrame, geom: PointGeometry) -> float:
-    """Max-norm of J^c_a J^d_b mu_cd - mu_ab.
+def _rows_j(frame: ConstraintFrame) -> np.ndarray:
+    """The rows acted on by J = 2 g^{-1} omega: R J = 2 normals omega."""
+    return 2.0 * frame.normals @ canonical_omega(frame.rows.shape[-1] // 2)
+
+
+def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_0 v_1^T - u_1 v_0^T of the two rows of u and of v."""
+    return u[..., 0, :, None] * v[..., 1, None, :] - u[..., 1, :, None] * v[..., 0, None, :]
+
+
+def j_invariance_residual(frame: ConstraintFrame) -> float:
+    """Max-norm of J^c_a J^d_b mu_cd - mu_ab, from (R J)^T M^{-1} (R J).
 
     Zero exactly when the metric-projected flow is a Hamiltonian flow for a
     modified symplectic structure with the same Hamiltonian.
     """
-    mu = frame.mu
-    return np.abs(geom.j.mT @ mu @ geom.j - mu).max(axis=(-2, -1))
+    rj = _rows_j(frame)
+    jmuj = rj.mT @ frame.gram_inv @ rj
+    return np.abs(0.5 * (jmuj + jmuj.mT) - frame.mu).max(axis=(-2, -1))
 
 
-def tau_analysis(frame: ConstraintFrame, geom: PointGeometry):
+def tau_analysis(frame: ConstraintFrame):
     """Two-constraint tensor tau_ab = grad_a A grad_b B - grad_a B grad_b A
     decomposed into complex type blocks.
 
-    Projecting each covector index with (1 -+ i J^T)/2 splits tau into
-    pure blocks (pos_pos, neg_neg) and mixed blocks (pos_neg, neg_pos).
-    The J-invariance condition holds with a plus sign when only the mixed
+    Projecting each covector with P+- a = (a -+ i a J)/2 splits tau into
+    pure blocks (pos_pos, neg_neg) and mixed blocks (pos_neg, neg_pos);
+    the (s, t) block is (P_s a)(P_t b)^T - (P_s b)(P_t a)^T.  The
+    J-invariance condition holds with a plus sign when only the mixed
     blocks survive (the holomorphic-pair structure) and with a minus sign
     when only the pure blocks survive.  Returns (tau, sign, block_norms)
     with sign in {"plus", "minus", "neither"} judged at relative tolerance
     TAU_BLOCK_RTOL; at a batch, tau is stacked and sign and each block
     norm are (B,) arrays.
     """
-    if frame.rows.shape[-2] != 2:
+    rows = frame.rows
+    if rows.shape[-2] != 2:
         raise ValueError("tau analysis needs exactly two constraints")
-    outer = frame.rows[..., 0, :, None] * frame.rows[..., 1, None, :]
-    tau = outer - outer.mT
-    eye = np.eye(geom.dim)
-    j_t = geom.j.mT
-    proj_pos = 0.5 * (eye - 1j * j_t)
-    proj_neg = 0.5 * (eye + 1j * j_t)
-    pos_t, neg_t = proj_pos.mT, proj_neg.mT
-    blocks = {
-        "pos_pos": proj_pos @ tau @ pos_t,
-        "pos_neg": proj_pos @ tau @ neg_t,
-        "neg_pos": proj_neg @ tau @ pos_t,
-        "neg_neg": proj_neg @ tau @ neg_t,
-    }
-    norms = {key: np.abs(block).max(axis=(-2, -1)) for key, block in blocks.items()}
+    tau = _wedge(rows, rows)
+    pos = 0.5 * (rows - 1j * _rows_j(frame))
+    # real rows make P- the conjugate of P+, so each neg block conjugates a pos one
+    pure = np.abs(_wedge(pos, pos)).max(axis=(-2, -1))
+    mixed = np.abs(_wedge(pos, pos.conj())).max(axis=(-2, -1))
+    norms = {"pos_pos": pure, "pos_neg": mixed, "neg_pos": mixed, "neg_neg": pure}
     scale = TAU_BLOCK_RTOL * np.abs(tau).max(axis=(-2, -1))
-    pure = np.maximum(norms["pos_pos"], norms["neg_neg"])
-    mixed = np.maximum(norms["pos_neg"], norms["neg_pos"])
     sign = np.where(pure <= scale, "plus", np.where(mixed <= scale, "minus", "neither"))
     return tau, sign if sign.ndim else str(sign), norms
 
 
-def annihilation_check(frame: Optional[ConstraintFrame], geom: PointGeometry):
+def annihilation_check(frame: ConstraintFrame):
     """Residuals of wtilde acting on the constraint normals.
 
     Returns (right, left): right = max_k |wtilde^{ad} grad_a Phi^k| is an
     algebraic identity and stays at roundoff; left =
     max_k |wtilde^{ad} grad_d Phi^k| vanishes exactly when the
-    J-invariance condition holds.  Both are zero for an empty constraint
-    set (frame None).
+    J-invariance condition holds.
     """
-    if frame is None:
-        return 0.0, 0.0
-    wtilde = modified_symplectic(frame, geom)
+    wtilde = modified_symplectic(frame)
     grads = frame.rows.mT
     right = np.abs(wtilde.mT @ grads).max(axis=(-2, -1))
     left = np.abs(wtilde @ grads).max(axis=(-2, -1))
@@ -157,21 +157,20 @@ def annihilation_check(frame: Optional[ConstraintFrame], geom: PointGeometry):
 
 def equivalence_report(point: ChartPoint, system) -> EquivalenceReport:
     """Evaluate every diagnostic at one point, or at each point of a batch,
-    and render the verdict at EQUIVALENCE_TOL, from one geometry evaluation
-    and one constraint frame of the system's constraints.  A singular Gram
-    matrix raises SingularGramError at a single point and reads "singular"
-    at a batch."""
+    and render the verdict at EQUIVALENCE_TOL, from one constraint frame of
+    the system's constraints; an empty constraint set reads zero residuals.
+    A singular Gram matrix raises SingularGramError at a single point and
+    reads "singular" at a batch."""
     cons = system.constraints
-    geom = geometry_at(point)
     if cons:
         frame = constraint_frame(cons, point)
-        j_res = j_invariance_residual(frame, geom)
-        right, left = annihilation_check(frame, geom)
+        j_res = j_invariance_residual(frame)
+        right, left = annihilation_check(frame)
         singular = frame.singular
     else:
         j_res = right = left = np.zeros(point.q.shape[:-1])
         singular = False
-    tau_sign = tau_analysis(frame, geom)[1] if len(cons) == 2 else None
+    tau_sign = tau_analysis(frame)[1] if len(cons) == 2 else None
     verdict = np.where(singular, "singular", np.where(j_res < EQUIVALENCE_TOL, "equivalent", "not_equivalent"))
     if verdict.ndim == 0:
         j_res, right, left, verdict = float(j_res), float(right), float(left), str(verdict)

@@ -8,12 +8,13 @@ route the library itself no longer takes.  The helpers that only tests
 call live here too: the Fubini-Study distance, the type decomposition,
 the single-constraint orthogonality, the two-constraint determinant, the
 Lagrange multipliers of a system and the finite-difference gradient, and
-a plain RK4 reference of integrate, the Bloch-sphere angles, and the
+a plain RK4 reference of integrate, the Bloch-sphere angles, the
 finite-difference Nijenhuis stencil that the library's exact tensor
-replaced.  The samplers and the check report are also rebuilt here the
-way they were built before they became array passes: one point at a time
-through Generator.uniform, and each check entry as a dict for
-cli._json_dump.
+replaced, and the dense-geometry equivalence diagnostics that the
+frame-only ones replaced.  The samplers and the check report are also
+rebuilt here the way they were built before they became array passes:
+one point at a time through Generator.uniform, and each check entry as a
+dict for cli._json_dump.
 """
 
 import math
@@ -40,6 +41,7 @@ from projflow import (
 from projflow import dynamics
 from projflow.cli import SPIN_SINGULAR_POINTS
 from projflow.constraints import GRAM_SINGULAR_FLOOR
+from projflow.equivalence import TAU_BLOCK_RTOL
 from projflow.systems import angular_coords
 
 FD_STEP = 1e-6
@@ -306,8 +308,8 @@ def decompose_tau_blocks(grad_a, grad_b, geom):
     """Brute-force assembly of the tau type blocks from decomposed covectors.
 
     Splits each gradient with type_decompose and wedges the parts directly;
-    serves as an independent cross-check of the projector sandwich used in
-    tau_analysis.
+    serves as an independent cross-check of the covector projections used
+    in tau_analysis.
     """
     a_pos, a_neg = type_decompose(grad_a, geom)
     b_pos, b_neg = type_decompose(grad_b, geom)
@@ -317,6 +319,42 @@ def decompose_tau_blocks(grad_a, grad_b, geom):
         "neg_pos": np.outer(a_neg, b_pos) - np.outer(b_neg, a_pos),
         "neg_neg": np.outer(a_neg, b_neg) - np.outer(b_neg, a_neg),
     }
+
+
+def dense_diagnostics(frame, point):
+    """The equivalence diagnostics of one point from the dense geometry,
+    the oracle of equivalence.py, which reads the constraint frame alone.
+
+    wtilde = omega - g^{-1} mu omega, the J-invariance residual
+    max |J^T mu J - mu|, the annihilation residuals max |wtilde^T R^T|
+    (right) and max |wtilde R^T| (left), and for two constraints the tau
+    block norms from decompose_tau_blocks with their sign, judged as
+    tau_analysis judges them.
+    """
+    geom = geometry_at(point)
+    mu, grads = frame.mu, frame.rows.T
+    omega = canonical_symplectic(point.m)
+    wtilde = omega - geom.g_inv @ mu @ omega
+    out = SimpleNamespace(
+        wtilde=wtilde,
+        j_invariance=np.abs(geom.j.T @ mu @ geom.j - mu).max(),
+        right=np.abs(wtilde.T @ grads).max(),
+        left=np.abs(wtilde @ grads).max(),
+        tau_norms=None,
+        tau_sign=None,
+    )
+    if len(frame.rows) == 2:
+        a, b = frame.rows
+        blocks = decompose_tau_blocks(a, b, geom)
+        out.tau_norms = {key: np.abs(block).max() for key, block in blocks.items()}
+        scale = TAU_BLOCK_RTOL * np.abs(np.outer(a, b) - np.outer(b, a)).max()
+        if max(out.tau_norms["pos_pos"], out.tau_norms["neg_neg"]) <= scale:
+            out.tau_sign = "plus"
+        elif max(out.tau_norms["pos_neg"], out.tau_norms["neg_pos"]) <= scale:
+            out.tau_sign = "minus"
+        else:
+            out.tau_sign = "neither"
+    return out
 
 
 def gaps(system):

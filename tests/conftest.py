@@ -8,8 +8,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from projflow import (
     ChartPoint,
-    constraint_frame,
-    geometry_at,
     sample_interior_point,
     single_spin_conserved_sx,
     two_qubit_product_system,
@@ -48,9 +46,3 @@ def spin_grid(exclusion=1e-3, nq=23, np_=17):
 def random_interior(rng, pairs, count):
     return [sample_interior_point(rng, pairs) for _ in range(count)]
 
-
-def frame_and_geometry(point, system, constraints=None):
-    """The constraint frame (None for an empty set) and the geometry at a
-    point: the two arguments of every equivalence diagnostic."""
-    cons = tuple(system.constraints if constraints is None else constraints)
-    return (constraint_frame(cons, point) if cons else None), geometry_at(point)

@@ -12,6 +12,7 @@ from projflow import (
     ChartPoint,
     annihilation_check,
     constrained_field,
+    constraint_frame,
     diagonal_system,
     geometry_at,
     integrate,
@@ -29,7 +30,6 @@ from projflow import (
 from projflow.constraints import gram_covariance_check
 
 import closedforms as cf
-from conftest import frame_and_geometry
 
 SPIN_SINGULAR = ((0.0, 0.5), (math.pi, 0.5), (2 * math.pi, 0.5))
 
@@ -151,11 +151,11 @@ def test_criterion_05_equivalence_verdicts():
     agree = True
     for seed in range(50):
         pt = product_surface_sample(seed)
-        frame, geom = frame_and_geometry(pt, two_qubit)
-        j_res = j_invariance_residual(frame, geom)
+        frame = constraint_frame(two_qubit.constraints, pt)
+        j_res = j_invariance_residual(frame)
         worst_surface = max(worst_surface, j_res)
-        _, left = annihilation_check(frame, geom)
-        wt = modified_symplectic(frame, geom)
+        _, left = annihilation_check(frame)
+        wt = modified_symplectic(frame)
         antisym = float(np.abs(wt + wt.T).max())
         agree &= len({j_res < 1e-8, left < 1e-8, antisym < 1e-8}) == 1
     rng = np.random.default_rng(5)
@@ -167,11 +167,11 @@ def test_criterion_05_equivalence_verdicts():
         if min(math.hypot(q - sq, p - sp) for sq, sp in SPIN_SINGULAR) < 1e-2:
             continue
         pt = ChartPoint([q], [p])
-        frame, geom = frame_and_geometry(pt, spin)
-        j_res = j_invariance_residual(frame, geom)
+        frame = constraint_frame(spin.constraints, pt)
+        j_res = j_invariance_residual(frame)
         least_generic = min(least_generic, j_res)
-        _, left = annihilation_check(frame, geom)
-        wt = modified_symplectic(frame, geom)
+        _, left = annihilation_check(frame)
+        wt = modified_symplectic(frame)
         antisym = float(np.abs(wt + wt.T).max())
         agree &= len({j_res < 1e-8, left < 1e-8, antisym < 1e-8}) == 1
         count += 1
@@ -190,7 +190,7 @@ def test_criterion_06_right_annihilation_identity():
     spin = single_spin_conserved_sx()
     worst = 0.0
     for seed in range(50):
-        right, _ = annihilation_check(*frame_and_geometry(product_surface_sample(seed), two_qubit))
+        right, _ = annihilation_check(constraint_frame(two_qubit.constraints, product_surface_sample(seed)))
         worst = max(worst, right)
     rng = np.random.default_rng(6)
     for _ in range(50):
@@ -198,7 +198,7 @@ def test_criterion_06_right_annihilation_identity():
         p = rng.uniform(0.1, 0.9)
         if min(math.hypot(q - sq, p - sp) for sq, sp in SPIN_SINGULAR) < 1e-2:
             continue
-        right, _ = annihilation_check(*frame_and_geometry(ChartPoint([q], [p]), spin))
+        right, _ = annihilation_check(constraint_frame(spin.constraints, ChartPoint([q], [p])))
         worst = max(worst, right)
     ok = worst < 1e-10
     report(6, ok, "right annihilation residual max %.3e (tol 1e-10), both systems" % worst)
@@ -227,13 +227,13 @@ def test_criterion_08_holomorphic_tau_structure():
     worst_rel = 0.0
     for seed in range(50):
         pt = product_surface_sample(seed)
-        tau, sign, norms = tau_analysis(*frame_and_geometry(pt, system))
+        tau, sign, norms = tau_analysis(constraint_frame(system.constraints, pt))
         scale = float(np.abs(tau).max())
         worst_rel = max(worst_rel, max(norms["pos_pos"], norms["neg_neg"]) / scale)
         assert sign == "plus", "expected plus-type tau on the product surface"
     c = system.constraints[0]
     pt = product_surface_sample(0)
-    tau_deg, _, _ = tau_analysis(cf.rows_frame((c, c), pt), geometry_at(pt))
+    tau_deg, _, _ = tau_analysis(cf.rows_frame((c, c), pt))
     degenerate_zero = bool(np.array_equal(tau_deg, np.zeros((6, 6))))
     ok = worst_rel < 1e-8 and degenerate_zero
     report(

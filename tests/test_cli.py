@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -31,6 +32,14 @@ NAN_OBSERVABLE = {"system": {"name": "diagonal", "n": 2, "energies": [1.0, 0.0],
                              "constraints": [{"kind": "observable", "matrix": [[float("nan"), 1.0], [1.0, 0.0]]}]}}
 
 BATCH_POINT = {"q": [[0.9], [1.2]], "p": [[0.3], [0.4]]}
+
+
+def sx_eigenstate_run(name):
+    """A simulate config that starts at an eigenstate of its sigma_x
+    constraint, with the given constraint name."""
+    sigma_x = {"kind": "observable", "matrix": [[0, 1], [1, 0]], "name": name}
+    return {"system": {"name": "diagonal", "n": 2, "energies": [-1.0, 1.0], "constraints": [sigma_x]},
+            "initial_point": {"q": [0.0], "p": [0.5]}, "output_path": "unused.csv"}
 
 
 def write_config(path, payload):
@@ -274,11 +283,17 @@ class TestConfigErrors:
              "bad points entry: q and p must be flat lists"),
             ("simulate", {"system": {"name": "spin-half-sx"}, "initial_point": BATCH_POINT,
                           "output_path": "unused.csv"}, "bad initial_point: q and p must be flat lists"),
+            # a constraint name that is not a string used to end in a
+            # TypeError traceback once the Gram matrix at this sigma_x
+            # eigenstate was found singular
+            ("simulate", sx_eigenstate_run(5), "name must be a string, got 5"),
+            ("simulate", sx_eigenstate_run(None), "name must be a string, got None"),
         ],
         ids=["point-pairs", "point-outside-chart", "points-empty", "grid-not-object", "constraints-not-list",
              "constraint-not-object", "observable-not-n-by-n", "n-not-integer", "observable-pairs-not-hermitian",
              "observable-not-finite-check", "observable-not-finite-field", "observable-not-finite-simulate",
-             "observable-on-fixed-system", "points-entry-batch", "initial-point-batch"],
+             "observable-on-fixed-system", "points-entry-batch", "initial-point-batch", "name-number",
+             "name-null"],
     )
     def test_malformed_entries(self, tmp_path, capsys, command, payload, message):
         assert main([command, write_config(tmp_path / "cfg.json", payload)]) == 2
@@ -476,6 +491,20 @@ class TestField:
 
 
 class TestCheck:
+    @pytest.mark.parametrize("name", ["two-qubit-product", "spin-half-sx"])
+    def test_builds_no_dense_geometry(self, tmp_path, monkeypatch, name):
+        # the equivalence diagnostics read the constraint frame alone
+        def refuse(point):
+            raise AssertionError("check built the dense geometry")
+
+        for module in list(sys.modules.values()):
+            if module.__name__.split(".")[0] == "projflow" and hasattr(module, "geometry_at"):
+                monkeypatch.setattr(module, "geometry_at", refuse)
+        out = tmp_path / "check.json"
+        cfg = write_config(tmp_path / "cfg.json", {"system": {"name": name}, "num_points": 8, "output_path": str(out)})
+        assert main(["check", cfg]) == 0
+        assert json.loads(out.read_text())["points"]
+
     def test_two_qubit_equivalent(self, tmp_path):
         out = tmp_path / "check.json"
         cfg = write_config(

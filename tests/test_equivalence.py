@@ -21,7 +21,7 @@ from projflow import (
 )
 import closedforms as cf
 from closedforms import single_constraint_orthogonality
-from conftest import frame_and_geometry, spin_grid
+from conftest import spin_grid
 
 
 def p_coordinate_constraint(index, dim):
@@ -84,28 +84,22 @@ class TestMuTensor:
 
 
 class TestModifiedSymplectic:
-    def test_no_constraints_identity(self, rng):
-        system = diagonal_system(3, [1.0, 2.0, 0.0])
-        frame, geom = frame_and_geometry(sample_interior_point(rng, 2), system, ())
-        assert frame is None
-        assert np.array_equal(modified_symplectic(frame, geom), cf.canonical_symplectic(2))
-
     def test_two_qubit_antisymmetric_on_surface(self, two_qubit):
         for seed in range(5):
-            wt = modified_symplectic(*frame_and_geometry(product_surface_sample(seed), two_qubit))
+            wt = modified_symplectic(constraint_frame(two_qubit.constraints, product_surface_sample(seed)))
             assert np.abs(wt + wt.T).max() < 1e-10
 
     def test_spin_not_antisymmetric(self, spin):
-        wt = modified_symplectic(*frame_and_geometry(ChartPoint([1.1], [0.33]), spin))
+        wt = modified_symplectic(constraint_frame(spin.constraints, ChartPoint([1.1], [0.33])))
         assert np.abs(wt + wt.T).max() > 0.01
 
     def test_reproduces_constrained_field(self, two_qubit, spin, rng):
         pt = product_surface_sample(7)
-        wt = modified_symplectic(*frame_and_geometry(pt, two_qubit))
+        wt = modified_symplectic(constraint_frame(two_qubit.constraints, pt))
         grad_h = two_qubit.hamiltonian.gradient(pt)
         assert_allclose(wt @ grad_h, constrained_field(pt, two_qubit), atol=1e-10)
         pt = sample_interior_point(rng, 1)
-        wt = modified_symplectic(*frame_and_geometry(pt, spin))
+        wt = modified_symplectic(constraint_frame(spin.constraints, pt))
         grad_h = spin.hamiltonian.gradient(pt)
         assert_allclose(wt @ grad_h, constrained_field(pt, spin), atol=1e-10)
 
@@ -113,24 +107,24 @@ class TestModifiedSymplectic:
 class TestJInvariance:
     def test_two_qubit_on_surface(self, two_qubit):
         for seed in range(10):
-            assert j_invariance_residual(*frame_and_geometry(product_surface_sample(seed), two_qubit)) < 1e-8
+            assert j_invariance_residual(constraint_frame(two_qubit.constraints, product_surface_sample(seed))) < 1e-8
 
     def test_spin_generic_points(self, spin):
         for pt in spin_grid(exclusion=1e-2, nq=9, np_=7):
-            assert j_invariance_residual(*frame_and_geometry(pt, spin)) > 0.01
+            assert j_invariance_residual(constraint_frame(spin.constraints, pt)) > 0.01
 
     def test_single_constraint_bounded_below(self, spin, rng):
         # empirical floor on the standard test grid: the residual never
         # drops under a fixed fraction of the mu scale
         for pt in spin_grid(exclusion=1e-2, nq=9, np_=7):
-            frame, geom = frame_and_geometry(pt, spin)
-            assert j_invariance_residual(frame, geom) >= 0.25 * np.abs(frame.mu).max()
+            frame = constraint_frame(spin.constraints, pt)
+            assert j_invariance_residual(frame) >= 0.25 * np.abs(frame.mu).max()
         c = p_coordinate_constraint(0, 3)
         system = diagonal_system(4, [1.0, 2.0, 3.0, 0.0], (c,))
         for _ in range(10):
             pt = sample_interior_point(rng, 3)
-            frame, geom = frame_and_geometry(pt, system)
-            assert j_invariance_residual(frame, geom) >= 0.25 * np.abs(frame.mu).max()
+            frame = constraint_frame(system.constraints, pt)
+            assert j_invariance_residual(frame) >= 0.25 * np.abs(frame.mu).max()
 
 
 class TestOrthogonality:
@@ -156,7 +150,7 @@ class TestTauAnalysis:
         # imaginary parts of one holomorphic constraint: pure-type blocks
         # vanish and the plus-sign condition holds
         for seed in range(10):
-            tau, sign, norms = tau_analysis(*frame_and_geometry(product_surface_sample(seed), two_qubit))
+            tau, sign, norms = tau_analysis(constraint_frame(two_qubit.constraints, product_surface_sample(seed)))
             scale = np.abs(tau).max()
             assert sign == "plus"
             assert max(norms["pos_pos"], norms["neg_neg"]) < 1e-8 * scale
@@ -165,14 +159,14 @@ class TestTauAnalysis:
     def test_degenerate_pair_vanishes(self, two_qubit, rng):
         pt = product_surface_sample(3)
         c = two_qubit.constraints[0]
-        tau, _, _ = tau_analysis(cf.rows_frame((c, c), pt), geometry_at(pt))
+        tau, _, _ = tau_analysis(cf.rows_frame((c, c), pt))
         assert np.array_equal(tau, np.zeros((6, 6)))
 
     def test_population_pair_neither(self, rng):
         cons = (p_coordinate_constraint(0, 3), p_coordinate_constraint(1, 3))
         system = diagonal_system(4, [1.0, 2.0, 3.0, 0.0], cons)
         pt = sample_interior_point(rng, 3)
-        tau, sign, norms = tau_analysis(*frame_and_geometry(pt, system))
+        tau, sign, norms = tau_analysis(constraint_frame(system.constraints, pt))
         assert sign == "neither"
         scale = np.abs(tau).max()
         assert min(norms.values()) > 0.01 * scale
@@ -183,36 +177,31 @@ class TestTauAnalysis:
             (two_qubit, product_surface_sample(4)),
             (two_qubit, sample_interior_point(rng, 3)),
         ]:
-            frame, geom = frame_and_geometry(pt, system)
+            frame = constraint_frame(system.constraints, pt)
             grad_a = system.constraints[0].gradient(pt)
             grad_b = system.constraints[1].gradient(pt)
-            _, _, norms = tau_analysis(frame, geom)
-            brute = cf.decompose_tau_blocks(grad_a, grad_b, geom)
+            _, _, norms = tau_analysis(frame)
+            brute = cf.decompose_tau_blocks(grad_a, grad_b, geometry_at(pt))
             for key, block in brute.items():
                 assert norms[key] == pytest.approx(np.abs(block).max(), abs=1e-12)
 
     def test_wrong_count_rejected(self, spin, rng):
         with pytest.raises(ValueError):
-            tau_analysis(*frame_and_geometry(sample_interior_point(rng, 1), spin))
+            tau_analysis(constraint_frame(spin.constraints, sample_interior_point(rng, 1)))
 
 
 class TestAnnihilation:
     def test_two_qubit(self, two_qubit):
         for seed in range(10):
-            right, left = annihilation_check(*frame_and_geometry(product_surface_sample(seed), two_qubit))
+            right, left = annihilation_check(constraint_frame(two_qubit.constraints, product_surface_sample(seed)))
             assert right < 1e-10
             assert left < 1e-8
 
     def test_spin(self, spin):
         for pt in spin_grid(exclusion=1e-2, nq=7, np_=5):
-            right, left = annihilation_check(*frame_and_geometry(pt, spin))
+            right, left = annihilation_check(constraint_frame(spin.constraints, pt))
             assert right < 1e-10
             assert left > 0.01
-
-    def test_empty_constraints(self, rng):
-        system = diagonal_system(3, [1.0, 2.0, 0.0])
-        frame, geom = frame_and_geometry(sample_interior_point(rng, 2), system, ())
-        assert annihilation_check(frame, geom) == (0.0, 0.0)
 
 
 class TestCriteriaAgreement:
@@ -220,10 +209,10 @@ class TestCriteriaAgreement:
         cases = [(two_qubit, product_surface_sample(s)) for s in range(5)]
         cases += [(spin, pt) for pt in spin_grid(exclusion=1e-2, nq=5, np_=3)]
         for system, pt in cases:
-            frame, geom = frame_and_geometry(pt, system)
-            j_res = j_invariance_residual(frame, geom)
-            _, left = annihilation_check(frame, geom)
-            wt = modified_symplectic(frame, geom)
+            frame = constraint_frame(system.constraints, pt)
+            j_res = j_invariance_residual(frame)
+            _, left = annihilation_check(frame)
+            wt = modified_symplectic(frame)
             antisym = np.abs(wt + wt.T).max()
             flags = (j_res < 1e-8, left < 1e-8, antisym < 1e-8)
             assert len(set(flags)) == 1

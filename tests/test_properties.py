@@ -14,21 +14,27 @@ from projflow import (
     ChartPoint,
     DegenerateGeometryError,
     SingularGramError,
+    annihilation_check,
     constrained_field,
     constraint_frame,
     diagonal_observable,
     diagonal_system,
     embed,
+    equivalence_report,
     geometry_at,
     gram_covariance_check,
     j_invariance_residual,
+    modified_symplectic,
     nijenhuis_tensor,
     observable_constraint,
     product_surface_sample,
     sample_interior_point,
     single_spin_conserved_sx,
+    tau_analysis,
+    two_qubit_product_system,
 )
 from projflow import cli
+from projflow.equivalence import EQUIVALENCE_TOL
 from projflow.geometry import BOUNDARY_MARGIN, inside_chart
 from projflow.systems import _interior_coords, _product_surface_row
 
@@ -130,8 +136,63 @@ def test_mu_invariant_under_recombination(n, seed):
 def test_single_constraint_never_equivalent(n, seed):
     system, pt, _ = draw(n, seed)
     frame = constraint_frame(system.constraints[:1], pt)
-    assert j_invariance_residual(frame, geometry_at(pt)) >= 0.25 * np.abs(frame.mu).max()
+    assert j_invariance_residual(frame) >= 0.25 * np.abs(frame.mu).max()
 
+
+def transition_pair(rng, n):
+    """The real and imaginary parts of a random transition |i><j|."""
+    i, j = rng.choice(n, size=2, replace=False)
+    t = np.zeros((n, n), dtype=complex)
+    t[i, j] = 1.0
+    return [t + t.T, -1j * (t - t.T)]
+
+
+@examples
+@given(dimensions, st.integers(min_value=1, max_value=3), seeds,
+       st.sampled_from(["hermitian", "transition", "two-qubit"]))
+@example(2, 2, 0, "transition")  # equivalent, tau_sign plus
+@example(4, 2, 0, "two-qubit")  # equivalent, tau_sign plus
+@example(33, 2, 0, "hermitian")
+@example(65, 2, 0, "hermitian")
+def test_frame_diagnostics_match_dense_oracle(n, size, seed, kind):
+    """The diagnostics read from the constraint frame alone against the
+    dense-geometry oracle: wtilde, the J-invariance and annihilation
+    residuals and the tau block norms agree to roundoff of the terms they
+    sum, and the verdict and tau_sign of equivalence_report are the
+    oracle's."""
+    rng = np.random.default_rng(seed)
+    if kind == "two-qubit":
+        system, pt = two_qubit_product_system(), product_surface_sample(seed)
+    else:
+        mats = transition_pair(rng, n) if kind == "transition" else [hermitian(rng, n) for _ in range(size)]
+        cons = tuple(observable_constraint(mat, "o%d" % k) for k, mat in enumerate(mats))
+        system = diagonal_system(n, rng.uniform(-2.0, 2.0, size=n), cons)
+        pt = sample_interior_point(rng, n - 1)
+    try:
+        frame = constraint_frame(system.constraints, pt)
+    except SingularGramError:
+        with pytest.raises(SingularGramError):
+            equivalence_report(pt, system)
+        return
+    dense = cf.dense_diagnostics(frame, pt)
+    # the size of the terms summed: M^{-1} between rows R and R J = 2
+    # normals omega, which grows with the condition of M
+    r = max(np.abs(frame.rows).max(), 2.0 * np.abs(frame.normals).max())
+    big = 1.0 + np.abs(frame.gram_inv).max() * r * r
+    assert np.abs(modified_symplectic(frame) - dense.wtilde).max() <= 1e-12 * big
+    assert abs(j_invariance_residual(frame) - dense.j_invariance) <= 1e-12 * big
+    right, left = annihilation_check(frame)
+    assert abs(right - dense.right) <= 1e-12 * big * r
+    assert abs(left - dense.left) <= 1e-12 * big * r
+    if dense.tau_norms is not None:
+        norms = tau_analysis(frame)[2]
+        for key, norm in dense.tau_norms.items():
+            assert abs(norms[key] - norm) <= 1e-12 * r * r, key
+    report = equivalence_report(pt, system)
+    assert report.verdict == ("equivalent" if dense.j_invariance < EQUIVALENCE_TOL else "not_equivalent")
+    assert report.tau_sign == dense.tau_sign
+    if kind == "two-qubit":
+        assert (report.verdict, report.tau_sign) == ("equivalent", "plus")
 
 @examples
 @given(dimensions, seeds)

@@ -12,7 +12,6 @@ from .constraints import (
     ConstraintFrame,
     algebraic_constraint,
     constraint_frame,
-    covariance_matrix,
     diagonal_observable,
     gram_covariance_check,
     gram_matrix,
@@ -40,7 +39,6 @@ from .errors import (
 )
 from .geometry import (
     ChartPoint,
-    PointGeometry,
     StateVector,
     apply_g_inv,
     canonical_omega,
@@ -71,7 +69,6 @@ __all__ = [
     "ConstraintFrame",
     "DegenerateGeometryError",
     "EquivalenceReport",
-    "PointGeometry",
     "SingularGramError",
     "StateVector",
     "SystemDefinition",
@@ -83,7 +80,6 @@ __all__ = [
     "chart_from_state",
     "constrained_field",
     "constraint_frame",
-    "covariance_matrix",
     "diagonal_observable",
     "diagonal_system",
     "embed",

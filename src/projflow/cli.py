@@ -109,6 +109,8 @@ def _build_constraint(spec, n: int):
         raise ConfigError("constraint entries must be objects, got %r" % (spec,))
     kind = spec.get("kind")
     if kind == "observable":
+        if "matrix" not in spec:
+            raise ConfigError("an observable constraint needs a \"matrix\" entry")
         matrix = np.asarray(spec["matrix"], dtype=float)
         if matrix.shape == (n, n, 2):
             matrix = matrix[..., 0] + 1j * matrix[..., 1]
@@ -138,13 +140,15 @@ def _entry(raw: dict, key: str, default, types, what: str):
 def _chart_point(spec, pairs: int, what: str) -> ChartPoint:
     """A {"q": [...], "p": [...]} entry as one point of a chart with the
     given number of pairs, inside the guarded chart interior."""
+    if not isinstance(spec, dict) or not {"q", "p"} <= spec.keys():
+        raise ConfigError("%s must be an object with q and p, got %r" % (what, spec))
     try:
         point = ChartPoint(np.asarray(spec["q"], float), np.asarray(spec["p"], float))
         if point.q.ndim != 1:
             raise ValueError("q and p must be flat lists, one point, not a batch")
         if point.m != pairs:
             raise ValueError("%d pairs where the system needs %d" % (point.m, pairs))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("bad %s: %s" % (what, exc))
     return point
 

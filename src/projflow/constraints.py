@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SingularGramError
-from .geometry import ChartPoint, StateVector, apply_g_inv, chart_amplitudes
+from .geometry import ChartPoint, apply_g_inv, chart_amplitudes
 
 # Gram matrices whose smallest singular value falls below this floor,
 # relative to max(1, sigma_max), are treated as singular.  This bounds the
@@ -77,9 +77,6 @@ class Constraint:
         """Phi at the point: a float, or a (B,) array at a batch."""
         value = self.fn(point)
         return float(value) if point.q.ndim == 1 else np.asarray(value, dtype=float)
-
-    def gradient(self, point: ChartPoint) -> np.ndarray:
-        return np.asarray(self.grad(point), dtype=float)
 
 
 def algebraic_constraint(name, fn, grad) -> Constraint:
@@ -222,48 +219,33 @@ def _small_gram_solve(gram_inv, r) -> list:
     return [row[0] * r[0] + row[1] * r[1] if len(r) == 2 else row[0] * r[0] for row in gram_inv]
 
 
-def _invert_gram(m: np.ndarray, constraints) -> Tuple[np.ndarray, float]:
-    """M^{-1}, exactly symmetric, and the condition estimate of a finite
-    symmetric Gram matrix M of the constraints, by _small_gram_inverse for
-    N <= 2; larger sets take the SVD and LAPACK, under the same floor."""
-    if m.shape[0] <= 2:
-        m_inv, cond = _small_gram_inverse(m.tolist(), constraints)
-        return np.array(m_inv), cond
-    if not np.isfinite(m).all():
-        raise SingularGramError([c.name for c in constraints], math.nan)
-    sv = np.linalg.svd(m, compute_uv=False)
-    smax, smin = float(sv[0]), float(sv[-1])
-    cond = np.inf if smin == 0.0 else smax / smin
-    if smin < GRAM_SINGULAR_FLOOR * max(1.0, smax):
-        raise SingularGramError([c.name for c in constraints], cond)
-    m_inv = np.linalg.inv(m)
-    return 0.5 * (m_inv + m_inv.T), cond
-
-
-def _invert_gram_batch(m: np.ndarray):
-    """_invert_gram over a (B, N, N) stack, by the same rule, without
-    raising: returns (M^{-1}, condition estimates, singular mask), with NaN
-    inverses and a True mask entry where M is singular or not finite."""
+def _invert_gram(m: np.ndarray):
+    """The one array rule: M^{-1} (exactly symmetric), the condition estimate
+    and the singular mask of a symmetric Gram matrix M of shape (N, N), or
+    a (B, N, N) stack, without raising.  N <= 2 takes the closed forms of
+    _small_gram_inverse elementwise, larger N the SVD and LAPACK; where M
+    is singular under the floor, or not finite, the mask is True and the
+    inverse NaN."""
     n = m.shape[-1]
     finite = np.isfinite(m).all(axis=(-2, -1))
-    m = np.where(finite[:, None, None], m, 0.0)
+    m = np.where(finite[..., None, None], m, 0.0)
     if n <= 2:
-        a, d = m[:, 0, 0], m[:, -1, -1]
-        b = m[:, 0, 1] if n == 2 else np.zeros_like(a)
+        a, d = m[..., 0, 0], m[..., -1, -1]
+        b = m[..., 0, 1] if n == 2 else np.zeros_like(a)
         mean, rad = np.abs(0.5 * (a + d)), np.hypot(0.5 * (a - d), b)
         smax, smin = mean + rad, np.abs(mean - rad)
     else:
         sv = np.linalg.svd(m, compute_uv=False)
-        smax, smin = sv[:, 0], sv[:, -1]
+        smax, smin = sv[..., 0], sv[..., -1]
     cond = np.divide(smax, smin, out=np.full_like(smax, np.inf), where=smin != 0.0)
     cond[~finite] = np.nan
     singular = ~finite | (smin < GRAM_SINGULAR_FLOOR * np.maximum(1.0, smax))
-    m = np.where(singular[:, None, None], np.eye(n), m)
+    m = np.where(singular[..., None, None], np.eye(n), m)
     if n == 1:
         m_inv = 1.0 / m
     elif n == 2:
-        a, d, b = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1]
-        m_inv = np.stack([d, -b, -b, a], axis=-1).reshape(-1, 2, 2) / (a * d - b * b)[:, None, None]
+        a, d, b = m[..., 0, 0], m[..., 1, 1], m[..., 0, 1]
+        m_inv = np.stack([d, -b, -b, a], axis=-1).reshape(m.shape) / (a * d - b * b)[..., None, None]
     else:
         m_inv = np.linalg.inv(m)
         m_inv = 0.5 * (m_inv + m_inv.mT)
@@ -289,8 +271,14 @@ def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint) -> Co
     m = rows @ normals.mT
     m = 0.5 * (m + m.mT)  # exactly symmetric
     if m.ndim > 2:
-        return ConstraintFrame(rows, normals, m, *_invert_gram_batch(m))
-    return ConstraintFrame(rows, normals, m, *_invert_gram(m, constraints))
+        return ConstraintFrame(rows, normals, m, *_invert_gram(m))
+    if len(constraints) <= 2:  # the float rule of the single-point field, so both read one estimate
+        m_inv, cond = _small_gram_inverse(m.tolist(), constraints)
+        return ConstraintFrame(rows, normals, m, np.array(m_inv), cond)
+    m_inv, cond, singular = _invert_gram(m)
+    if singular:
+        raise SingularGramError([c.name for c in constraints], cond)
+    return ConstraintFrame(rows, normals, m, m_inv, float(cond))
 
 
 def gram_matrix(constraints: Sequence[Constraint], point: ChartPoint) -> np.ndarray:
@@ -298,19 +286,9 @@ def gram_matrix(constraints: Sequence[Constraint], point: ChartPoint) -> np.ndar
     return constraint_frame(constraints, point).gram
 
 
-def covariance_matrix(observables: Sequence[np.ndarray], state: StateVector) -> np.ndarray:
-    """Symmetrised covariance matrix of Hermitian observables in a state.
-
-    Entry (i, j) is <A_i A_j>_sym - <A_i><A_j> in the normalised state,
-    with the symmetrised product (A_i A_j + A_j A_i)/2 keeping the result
-    real for non-commuting pairs.  A single observable yields its variance,
-    which vanishes exactly at its eigenstates.
-    """
-    return _covariance([_check_hermitian(a) for a in observables], state.normalized())
-
-
 def _covariance(mats, amp: np.ndarray) -> np.ndarray:
-    """covariance_matrix of normalised amplitudes amp, shape (..., n)."""
+    """Covariance matrix <(A_i A_j + A_j A_i)/2> - <A_i><A_j> of Hermitian
+    mats in normalised amplitudes amp, shape (..., n); real for any pair."""
     acted = np.stack([np.matvec(mat, amp) for mat in mats], axis=-2)
     means = np.real(np.matvec(acted, amp.conj()))
     # Re(<A_i psi, A_j psi>) is the symmetrised second moment for Hermitian A.

@@ -71,15 +71,6 @@ class EquivalenceReport:
             verdict=str(self.verdict[i]),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "j_invariance_residual": self.j_invariance_residual,
-            "right_annihilation_residual": self.right_annihilation_residual,
-            "left_annihilation_residual": self.left_annihilation_residual,
-            "tau_sign": self.tau_sign,
-            "verdict": self.verdict,
-        }
-
 
 def modified_symplectic(frame: ConstraintFrame) -> np.ndarray:
     """wtilde^{ab} = omega^{ab} - g^{ad} omega^{cb} mu_dc

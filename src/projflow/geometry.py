@@ -167,12 +167,6 @@ class StateVector:
             raise ChartDomainError("the zero vector does not represent a state")
         object.__setattr__(self, "amplitudes", amp)
 
-    def norm_squared(self) -> float:
-        return float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
-
-    def normalized(self) -> np.ndarray:
-        return self.amplitudes / np.sqrt(self.norm_squared())
-
 
 @dataclass(frozen=True)
 class PointGeometry:

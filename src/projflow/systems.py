@@ -56,10 +56,6 @@ class SystemDefinition:
     hamiltonian: Constraint
     constraints: Tuple[Constraint, ...]
 
-    @property
-    def chart_dim(self) -> int:
-        return 2 * (self.n - 1)
-
 
 def diagonal_system(n: int, energies, constraints=()) -> SystemDefinition:
     """Generic action-angle system for a diagonal Hamiltonian,

@@ -18,7 +18,7 @@ dict for cli._json_dump.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -81,8 +81,8 @@ def fubini_study_distance(a, b):
     Invariant under independent rescaling of either argument; identical
     rays give 0 and orthogonal rays give pi.
     """
-    na = a.norm_squared()
-    nb = b.norm_squared()
+    na = np.vdot(a.amplitudes, a.amplitudes).real
+    nb = np.vdot(b.amplitudes, b.amplitudes).real
     fidelity = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 / (na * nb)
     return float(np.arccos(np.clip(2.0 * fidelity - 1.0, -1.0, 1.0)))
 
@@ -112,7 +112,7 @@ def single_constraint_orthogonality(point, constraint):
     Phi).
     """
     geom = geometry_at(point)
-    grad = constraint.gradient(point)
+    grad = constraint.grad(point)
     return float(abs((geom.j.T @ grad) @ geom.g_inv @ grad))
 
 
@@ -600,7 +600,7 @@ def rows_frame(constraints, point):
     the set is degenerate (a duplicated or redundant constraint), so that
     constraint_frame raises SingularGramError.
     """
-    rows = np.array([c.gradient(point) for c in constraints], dtype=float)
+    rows = np.array([c.grad(point) for c in constraints], dtype=float)
     normals = apply_g_inv(point, rows)
     gram = rows @ normals.T
     return SimpleNamespace(rows=rows, normals=normals, gram=0.5 * (gram + gram.T))
@@ -667,7 +667,7 @@ def check_payload(system, seed, points):
         if rep.verdict == "singular":
             entry["status"] = "singular"
         else:
-            entry.update(rep.to_dict())
+            entry.update(asdict(rep))
             verdicts.append(rep.verdict)
         reports.append(entry)
     checked = [r for r in reports if "status" not in r]

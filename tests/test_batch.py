@@ -6,6 +6,8 @@ SingularGramError becomes a singular mask and NaN rows, and a point outside
 the guarded chart is masked by inside_chart before the batch is built.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,12 +58,16 @@ def assert_close(batched, single, scale=0.0):
 
 
 def systems(rng, m):
-    """A diagonal system with two random complex Hermitian observables, and
-    the worked system of matching size, if any."""
+    """Diagonal systems with two and with three random complex Hermitian
+    observables, and the worked system of matching size, if any.  Three
+    constraints take the SVD branch of the Gram rule; on two coordinates
+    (m = 1) they are always singular."""
     n = m + 1
     pair = (observable_constraint(hermitian(rng, n), "a"), observable_constraint(hermitian(rng, n), "b"))
     found = [diagonal_system(n, rng.uniform(-2.0, 2.0, size=n), pair)]
     found += [s for s in (single_spin_conserved_sx(), two_qubit_product_system()) if s.n == n]
+    triple = tuple(observable_constraint(hermitian(rng, n), name) for name in "abc")
+    found.append(diagonal_system(n, rng.uniform(-2.0, 2.0, size=n), triple))
     return found
 
 
@@ -107,10 +113,10 @@ def test_constraint_layers_match_per_point(m, size, seed):
             assert abs(frame.condition_number[i] - cond) <= RTOL * cond * max(1.0, cond)
             # the projected field can cancel to roundoff; judge it against
             # the free field it is projected from
-            free = np.abs(system.hamiltonian.gradient(pt)).max()
+            free = np.abs(system.hamiltonian.grad(pt)).max()
             assert_close(field[i], constrained_field(pt, system), free)
-            expected = equivalence_report(pt, system).to_dict()
-            got = report[i].to_dict()
+            expected = asdict(equivalence_report(pt, system))
+            got = asdict(report[i])
             assert got["verdict"] == expected["verdict"] and got["tau_sign"] == expected["tau_sign"]
             scale = np.abs(single.mu).max()
             for key in ("j_invariance_residual", "right_annihilation_residual", "left_annihilation_residual"):

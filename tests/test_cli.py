@@ -288,12 +288,25 @@ class TestConfigErrors:
             # eigenstate was found singular
             ("simulate", sx_eigenstate_run(5), "name must be a string, got 5"),
             ("simulate", sx_eigenstate_run(None), "name must be a string, got None"),
+            # a missing key or a non-object point is named, not reported
+            # as the bare text of a KeyError or TypeError
+            ("check", {"system": {"name": "diagonal", "n": 2, "energies": [-1.0, 1.0],
+                                  "constraints": [{"kind": "observable"}]}},
+             'an observable constraint needs a "matrix" entry'),
+            ("check", {"system": {"name": "spin-half-sx"}, "points": [3]},
+             "points entry must be an object with q and p, got 3"),
+            ("check", {"system": {"name": "spin-half-sx"}, "points": [{"q": [0.9]}]},
+             "points entry must be an object with q and p, got {'q': [0.9]}"),
+            ("simulate", {"system": {"name": "spin-half-sx"}, "initial_point": [[0.9], [0.3]],
+                          "output_path": "unused.csv"},
+             "initial_point must be an object with q and p, got [[0.9], [0.3]]"),
         ],
         ids=["point-pairs", "point-outside-chart", "points-empty", "grid-not-object", "constraints-not-list",
              "constraint-not-object", "observable-not-n-by-n", "n-not-integer", "observable-pairs-not-hermitian",
              "observable-not-finite-check", "observable-not-finite-field", "observable-not-finite-simulate",
              "observable-on-fixed-system", "points-entry-batch", "initial-point-batch", "name-number",
-             "name-null"],
+             "name-null", "observable-no-matrix", "points-entry-not-object", "points-entry-no-p",
+             "initial-point-not-object"],
     )
     def test_malformed_entries(self, tmp_path, capsys, command, payload, message):
         assert main([command, write_config(tmp_path / "cfg.json", payload)]) == 2

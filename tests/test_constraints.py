@@ -8,11 +8,9 @@ from projflow import (
     ChartPoint,
     Constraint,
     SingularGramError,
-    StateVector,
     algebraic_constraint,
     constraint_frame,
     constrained_field,
-    covariance_matrix,
     diagonal_observable,
     diagonal_system,
     embed,
@@ -21,6 +19,7 @@ from projflow import (
     observable_constraint,
     sample_interior_point,
 )
+from projflow.constraints import _check_hermitian, _covariance
 
 import closedforms as cf
 from closedforms import EigenstateDegenerateError, finite_difference_gradient, two_constraint_determinant
@@ -43,10 +42,10 @@ class TestConstraint:
     def test_observable_gradient_vs_finite_differences(self, spin, two_qubit, rng):
         c = spin.constraints[0]
         pt = sample_interior_point(rng, 1)
-        assert_allclose(c.gradient(pt), finite_difference_gradient(c.fn, pt), atol=1e-6)
+        assert_allclose(c.grad(pt), finite_difference_gradient(c.fn, pt), atol=1e-6)
         for c in two_qubit.constraints:
             pt = sample_interior_point(rng, 3)
-            assert_allclose(c.gradient(pt), finite_difference_gradient(c.fn, pt), atol=1e-6)
+            assert_allclose(c.grad(pt), finite_difference_gradient(c.fn, pt), atol=1e-6)
 
     def test_algebraic_without_gradient_rejected(self):
         def curvy(pt):
@@ -82,7 +81,7 @@ class TestConstraint:
 class TestDiagonalObservable:
     def test_gradient_is_gaps(self, rng):
         c = diagonal_observable([1.0, 2.0, 3.0, 0.0])
-        assert np.array_equal(c.gradient(sample_interior_point(rng, 3)), [0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(c.grad(sample_interior_point(rng, 3)), [0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
         assert np.array_equal(c.matrix, [1.0, 2.0, 3.0, 0.0])
 
     def test_stores_weights_not_matrix(self):
@@ -100,7 +99,7 @@ class TestDiagonalObservable:
         for k in range(3):
             c = diagonal_observable(np.eye(4)[k], "p%d" % (k + 1))
             assert c.value(pt) == pt.p[k]
-            assert np.array_equal(c.gradient(pt), np.eye(6)[3 + k])
+            assert np.array_equal(c.grad(pt), np.eye(6)[3 + k])
 
     @pytest.mark.parametrize("weights", [[1.0], [], [[1.0, 0.0], [0.0, 1.0]]])
     def test_needs_two_levels(self, weights):
@@ -118,7 +117,7 @@ class TestDiagonalObservable:
         with pytest.raises(ValueError):
             c.value(pt)
         with pytest.raises(ValueError):
-            c.gradient(pt)
+            c.grad(pt)
 
 
 class TestGramMatrix:
@@ -182,7 +181,7 @@ class TestGramMatrix:
             algebraic_constraint(
                 "2*phase-sum",
                 lambda p: 2.0 * base[0].fn(p),
-                lambda p: 2.0 * base[0].gradient(p),
+                lambda p: 2.0 * base[0].grad(p),
             ),
             base[1],
         )
@@ -202,7 +201,7 @@ class TestGramMatrix:
             algebraic_constraint(
                 "c*phase-sum",
                 lambda p: 0.7 * base[0].fn(p),
-                lambda p: 0.7 * base[0].gradient(p),
+                lambda p: 0.7 * base[0].grad(p),
             ),
             base[1],
         )
@@ -212,24 +211,26 @@ class TestGramMatrix:
 
 
 class TestCovariance:
+    """The covariance side of the Gram-covariance identity, as validate's
+    gram_covariance check evaluates it: normalised amplitudes in."""
+
     def test_eigenstate_variance_zero(self):
-        state = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
-        cov = covariance_matrix([SIGMA_X], state)
+        cov = _covariance([SIGMA_X], np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
         assert abs(cov[0, 0]) < 1e-15
 
     def test_basis_state_variance_one(self):
-        cov = covariance_matrix([SIGMA_X], StateVector([1.0, 0.0]))
+        cov = _covariance([SIGMA_X], np.array([1.0, 0.0], dtype=complex))
         assert cov[0, 0] == pytest.approx(1.0)
 
     def test_symmetrised_cross_term_real(self, rng):
-        state = StateVector(rng.normal(size=2) + 1j * rng.normal(size=2))
-        cov = covariance_matrix([SIGMA_X, SIGMA_Z], state)
+        amp = rng.normal(size=2) + 1j * rng.normal(size=2)
+        cov = _covariance([SIGMA_X, SIGMA_Z], amp / np.linalg.norm(amp))
         assert cov.dtype.kind == "f"
         assert cov[0, 1] == cov[1, 0]
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            covariance_matrix([np.array([[0.0, 1.0], [2.0, 0.0]])], StateVector([1.0, 0.0]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _check_hermitian(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 class TestGramCovarianceIdentity:
@@ -270,7 +271,7 @@ class TestTwoConstraintDeterminant:
         pt = sample_interior_point(rng, 1)
         base = spin.constraints[0]
         doubled = algebraic_constraint(
-            "2*sigma-x", lambda p: 2.0 * base.fn(p), lambda p: 2.0 * base.gradient(p)
+            "2*sigma-x", lambda p: 2.0 * base.fn(p), lambda p: 2.0 * base.grad(p)
         )
         delta, rho = two_constraint_determinant(cf.rows_frame((base, doubled), pt).gram)
         assert rho == pytest.approx(1.0, abs=1e-12)
@@ -280,7 +281,7 @@ class TestTwoConstraintDeterminant:
         pt = sample_interior_point(rng, 1)
         base = spin.constraints[0]
         negated = algebraic_constraint(
-            "-sigma-x", lambda p: -base.fn(p), lambda p: -base.gradient(p)
+            "-sigma-x", lambda p: -base.fn(p), lambda p: -base.grad(p)
         )
         _, rho = two_constraint_determinant(cf.rows_frame((base, negated), pt).gram)
         assert rho == pytest.approx(-1.0, abs=1e-12)

@@ -99,7 +99,7 @@ class TestMultipliers:
         lam = multipliers(pt, two_qubit)
         geom = geometry_at(pt)
         rows = gradient_rows(two_qubit.constraints, pt)
-        free = canonical_omega(3) @ two_qubit.hamiltonian.gradient(pt)
+        free = canonical_omega(3) @ two_qubit.hamiltonian.grad(pt)
         assembled = free - geom.g_inv @ (rows.T @ lam)
         assert_allclose(assembled, cf.two_qubit_surface_field(pt.p, cf.gaps(two_qubit)), atol=1e-12)
 
@@ -125,11 +125,11 @@ class TestConstrainedField:
             pt = product_surface_sample(seed)
             field = constrained_field(pt, two_qubit)
             for c in two_qubit.constraints:
-                assert abs(field @ c.gradient(pt)) < 1e-10
+                assert abs(field @ c.grad(pt)) < 1e-10
         for _ in range(10):
             pt = sample_interior_point(rng, 1)
             field = constrained_field(pt, spin)
-            assert abs(field @ spin.constraints[0].gradient(pt)) < 1e-10
+            assert abs(field @ spin.constraints[0].grad(pt)) < 1e-10
 
     def test_no_constraints_reduces_to_free_flow(self, rng):
         system = diagonal_system(4, [1.0, 2.0, 3.0, 0.0])

@@ -296,7 +296,7 @@ def test_observable_gradient_matches_jacobian_form(n, seed):
     phi = np.real(np.vdot(psi, matrix @ psi))
     # 2 Re <d_a psi|(A - Phi) psi> through the full chart Jacobian
     reference = 2.0 * np.real(cf.embed_jacobian(pt).conj() @ (matrix @ psi - phi * psi))
-    gradient = observable_constraint(matrix).gradient(pt)
+    gradient = observable_constraint(matrix).grad(pt)
     assert np.abs(gradient - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
@@ -311,7 +311,7 @@ def test_diagonal_observable_matches_general(n, seed):
     closed, general = diagonal_observable(weights), observable_constraint(np.diag(weights))
     scale = np.abs(weights).max()
     assert abs(closed.value(pt) - general.value(pt)) <= 1e-12 * scale
-    assert np.abs(closed.gradient(pt) - general.gradient(pt)).max() <= 1e-12 * scale
+    assert np.abs(closed.grad(pt) - general.grad(pt)).max() <= 1e-12 * scale
 
 
 def near_parallel(matrices, pt, target):

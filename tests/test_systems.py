@@ -54,9 +54,6 @@ class TestTwoQubitSystem:
         with pytest.raises(ValueError, match="exactly four energies"):
             system_from_name("two-qubit-product", energies=energies)
 
-    def test_chart_dim(self, two_qubit):
-        assert two_qubit.chart_dim == 6
-
 
 class TestSurfaceSampler:
     def test_constraints_vanish(self):

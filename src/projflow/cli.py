@@ -28,7 +28,7 @@ from .constraints import diagonal_observable, gram_covariance_check, observable_
 from .dynamics import constrained_field, integrate
 from .equivalence import equivalence_report
 from .errors import ChartDomainError, ConfigError
-from .geometry import ChartPoint, _nijenhuis, canonical_omega, geometry_at, inside_chart
+from .geometry import ChartPoint, canonical_omega, geometry_at, inside_chart, nijenhuis_tensor
 from .systems import (
     SystemDefinition,
     _interior_coords,
@@ -408,7 +408,7 @@ def _validate_residuals(points: ChartPoint, probes) -> dict:
         # and omega = Omega / 2 against the canonical form
         "two_form_inverse": g_inv @ big_omega @ g_inv @ big_omega.mT - eye,
         "canonical_symplectic": 0.5 * big_omega - canonical_omega(points.m),
-        "nijenhuis": _nijenhuis(points, j),
+        "nijenhuis": nijenhuis_tensor(points),
         "gram_covariance": gram_covariance_check(probes, points),
     }
     return {name: np.abs(residual).max() for name, residual in residuals.items()}

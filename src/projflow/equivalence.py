@@ -51,9 +51,8 @@ class EquivalenceReport:
     when the J-invariance residual is below EQUIVALENCE_TOL.
 
     The report of a batch of B points holds (B,) arrays, tau_sign
-    included when it is not None; report[i] is the report of point i.  At
-    a point whose Gram matrix is singular the verdict is "singular" and the
-    residuals are NaN.
+    included when it is not None.  At a point whose Gram matrix is singular
+    the verdict is "singular" and the residuals are NaN.
     """
 
     j_invariance_residual: float
@@ -61,15 +60,6 @@ class EquivalenceReport:
     left_annihilation_residual: float
     tau_sign: Optional[str]
     verdict: str
-
-    def __getitem__(self, i: int) -> "EquivalenceReport":
-        return EquivalenceReport(
-            j_invariance_residual=float(self.j_invariance_residual[i]),
-            right_annihilation_residual=float(self.right_annihilation_residual[i]),
-            left_annihilation_residual=float(self.left_annihilation_residual[i]),
-            tau_sign=None if self.tau_sign is None else str(self.tau_sign[i]),
-            verdict=str(self.verdict[i]),
-        )
 
 
 def modified_symplectic(frame: ConstraintFrame) -> np.ndarray:

@@ -281,39 +281,39 @@ def geometry_at(point: ChartPoint) -> PointGeometry:
 def nijenhuis_tensor(point: ChartPoint) -> np.ndarray:
     """Integrability obstruction of the complex structure,
 
-        N^c_ab = J^c_d d_[a J^d_b] - J^d_[a d_|d| J^c_b],
+        N^c_ab = J^c_d d_[a J^d_b] - J^d_[a d_|d| J^c_b] = (t_cab - t_cba) / 2,
+        t_cab  = J^c_d d_a J^d_b - J^d_a d_d J^c_b,
 
     with coordinate partials in place of covariant derivatives (the
     combination is independent of the choice of symmetric connection).
     Returned with index layout N[..., c, a, b]; it is antisymmetric in
     (a, b) by construction.  J = [[0, A], [B, 0]] depends on p only, with
-    A = (P^{-1} + 1 1^T / p_n) / 2 and B = -2 (P - p p^T), so its partials
-    are exact: d_q J = 0 and
+    A = (P^{-1} + 1 1^T / p_n) / 2 and B = -2 (P - p p^T), so only four
+    m x m x m blocks of t are nonzero, each in closed form:
 
-        d_{p_k} A = (-e_k e_k^T / p_k^2 + 1 1^T / p_n^2) / 2,
-        d_{p_k} B = -2 (e_k e_k^T - e_k p^T - p e_k^T).
+        t[q_i, p_k, q_j] = -2 (A_ik (delta_kj - p_j) - (Ap)_i delta_kj),
+        t[p_i, p_k, p_j] = ((B1)_i / p_n^2 - B_ik delta_kj / p_k^2) / 2,
+        t[q_c, q_i, p_b] = -t[p_i, p_c, p_b]            (B is symmetric),
+        t[p_c, q_i, q_b] = 2 (B_ci (delta_cb - p_b) - p_c B_bi).
 
-    Every point of a batch holds dim^3 entries of dJ and of N.
+    O(dim^3) per point, with neither J nor its partials built.
     """
-    return _nijenhuis(point, geometry_at(point).j)
-
-
-def _nijenhuis(point: ChartPoint, j: np.ndarray) -> np.ndarray:
-    """nijenhuis_tensor from the complex structure j of the point, for a
-    caller that holds its geometry already."""
     m = point.m
-    dim = 2 * m
     p = point.p
-    p_last = np.asarray(point.p_last)[..., None, None, None]
-    eye = np.eye(m)
-    ekk = eye[:, :, None] * eye[:, None, :]  # [k, i, j] = (e_k e_k^T)_ij
-    dj = np.zeros(p.shape[:-1] + (dim, dim, dim))  # dj[..., a, c, b] = d_a J^c_b
-    dj[..., m:, :m, m:] = 0.5 * (1.0 / p_last ** 2 - ekk / (p ** 2)[..., :, None, None])
-    dj[..., m:, m:, :m] = -2.0 * (ekk - eye[:, :, None] * p[..., None, None, :]
-                                  - eye[:, None, :] * p[..., None, :, None])
-    t1 = np.einsum("...cd,...adb->...cab", j, dj)
-    t2 = np.einsum("...da,...dcb->...cab", j, dj)
-    return 0.5 * (t1 - t1.mT) - 0.5 * (t2 - t2.mT)
+    p_last = np.asarray(point.p_last)[..., None, None]
+    col, eye = p[..., :, None], np.eye(m)
+    a = 0.5 * (eye / col + 1.0 / p_last)
+    b = -2.0 * (eye * col - col * p[..., None, :])
+    t = np.zeros(p.shape[:-1] + (2 * m,) * 3)
+    t[..., :m, m:, :m] = -2.0 * (a[..., :, :, None] * (eye - p[..., None, :])[..., None, :, :]
+                                 - (a @ col)[..., None] * eye)
+    ppp = 0.5 * (b.sum(axis=-1)[..., :, None, None] / p_last[..., None] ** 2
+                 - (b / p[..., None, :] ** 2)[..., :, :, None] * eye)
+    t[..., m:, m:, m:] = ppp
+    t[..., :m, :m, m:] = -ppp.swapaxes(-3, -2)
+    t[..., m:, :m, :m] = 2.0 * (b[..., :, :, None] * (eye[:, None, :] - p[..., None, None, :])
+                                - col[..., None] * b[..., None, :, :])
+    return 0.5 * (t - t.mT)
 
 
 def nijenhuis_residual(point: ChartPoint) -> float:

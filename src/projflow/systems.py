@@ -234,16 +234,21 @@ def with_constraints(system: SystemDefinition, constraints) -> SystemDefinition:
 
 def system_from_name(name: str, *, energies=None, n=None) -> SystemDefinition:
     """Instantiate a named system: "two-qubit-product", "spin-half-sx" or
-    "diagonal" (which needs n and energies).  with_constraints adds
-    constraints to a diagonal system."""
+    "diagonal" (which needs n and energies).  A worked system has its own n,
+    and spin-half-sx its own energies: any other is a ValueError.
+    with_constraints adds constraints to a diagonal system."""
     if name == "two-qubit-product":
-        if energies is None:
-            return two_qubit_product_system()
-        return two_qubit_product_system(energies)
-    if name == "spin-half-sx":
-        return single_spin_conserved_sx()
-    if name == "diagonal":
+        system = two_qubit_product_system() if energies is None else two_qubit_product_system(energies)
+    elif name == "spin-half-sx":
+        if energies is not None:
+            raise ValueError("system 'spin-half-sx' has fixed energies; energies are not accepted")
+        system = single_spin_conserved_sx()
+    elif name == "diagonal":
         if n is None or energies is None:
             raise ValueError("the diagonal system needs both n and energies")
         return diagonal_system(int(n), energies)
-    raise KeyError("unknown system %r" % name)
+    else:
+        raise KeyError("unknown system %r" % name)
+    if n is not None and n != system.n:
+        raise ValueError("system %r has n = %d, got %r" % (name, system.n, n))
+    return system

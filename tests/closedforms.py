@@ -9,12 +9,13 @@ call live here too: the Fubini-Study distance, the type decomposition,
 the single-constraint orthogonality, the two-constraint determinant, the
 Lagrange multipliers of a system and the finite-difference gradient, and
 a plain RK4 reference of integrate, the Bloch-sphere angles, the
-finite-difference Nijenhuis stencil that the library's exact tensor
-replaced, and the dense-geometry equivalence diagnostics that the
-frame-only ones replaced.  The samplers and the check report are also
-rebuilt here the way they were built before they became array passes:
-one point at a time through Generator.uniform, and each check entry as a
-dict for cli._json_dump.
+finite-difference Nijenhuis stencil and the dense exact-dJ contraction
+that the library's closed-form blocks replaced, and the dense-geometry
+equivalence diagnostics that the frame-only ones replaced.  The samplers
+and the check report are also rebuilt here the way they were built before
+they became array passes: one point at a time through Generator.uniform,
+and each check entry as a dict for cli._json_dump, from report_at, the
+report of one point of a batch.
 """
 
 import math
@@ -276,7 +277,35 @@ def nijenhuis_stencil(point, step=1e-5):
     js = geometry_at(ChartPoint.from_coords(stencil.reshape(-1, dim))).j
     js = js.reshape(stencil.shape[:-1] + (dim, dim))
     dj = (js[..., :dim, :, :] - js[..., dim:, :, :]) / (2.0 * step)
-    j = geometry_at(point).j
+    return nijenhuis_contraction(geometry_at(point).j, dj)
+
+
+def nijenhuis_dense(point):
+    """Nijenhuis tensor N[..., c, a, b] from the dense exact dJ, the route
+    geometry.nijenhuis_tensor took before its closed-form blocks.
+
+    J = [[0, A], [B, 0]] depends on p only, with A = (P^{-1} + 1 1^T / p_n) / 2
+    and B = -2 (P - p p^T), so d_q J = 0 and
+
+        d_{p_k} A = (-e_k e_k^T / p_k^2 + 1 1^T / p_n^2) / 2,
+        d_{p_k} B = -2 (e_k e_k^T - e_k p^T - p e_k^T).
+    """
+    m = point.m
+    dim = 2 * m
+    p = point.p
+    p_last = np.asarray(point.p_last)[..., None, None, None]
+    eye = np.eye(m)
+    ekk = eye[:, :, None] * eye[:, None, :]  # [k, i, j] = (e_k e_k^T)_ij
+    dj = np.zeros(p.shape[:-1] + (dim, dim, dim))  # dj[..., a, c, b] = d_a J^c_b
+    dj[..., m:, :m, m:] = 0.5 * (1.0 / p_last ** 2 - ekk / (p ** 2)[..., :, None, None])
+    dj[..., m:, m:, :m] = -2.0 * (ekk - eye[:, :, None] * p[..., None, None, :]
+                                  - eye[:, None, :] * p[..., None, :, None])
+    return nijenhuis_contraction(geometry_at(point).j, dj)
+
+
+def nijenhuis_contraction(j, dj):
+    """N^c_ab = J^c_d d_[a J^d_b] - J^d_[a d_|d| J^c_b] from J and
+    dj[..., a, c, b] = d_a J^c_b, as two dense O(dim^4) einsums."""
     t1 = np.einsum("...cd,...adb->...cab", j, dj)
     t2 = np.einsum("...da,...dcb->...cab", j, dj)
     return 0.5 * (t1 - t1.mT) - 0.5 * (t2 - t2.mT)
@@ -656,19 +685,25 @@ def spin_check_points(seed, num_points):
     return points
 
 
+def report_at(report, i):
+    """Point i of a batch EquivalenceReport as a dict of its fields, entry i
+    of each (B,) array as a Python float or str (tau_sign may be None)."""
+    return {key: None if value is None else value[i].item() for key, value in asdict(report).items()}
+
+
 def check_payload(system, seed, points):
     """The check report of points as one dict: an entry per point, q and p
     then the report's fields or "status": "singular", and the aggregate."""
     batch = equivalence_report(ChartPoint.from_coords(np.array([pt.coords() for pt in points])), system)
     reports, verdicts = [], []
     for i, pt in enumerate(points):
-        rep = batch[i]
+        rep = report_at(batch, i)
         entry = {"q": list(pt.q), "p": list(pt.p)}
-        if rep.verdict == "singular":
+        if rep["verdict"] == "singular":
             entry["status"] = "singular"
         else:
-            entry.update(asdict(rep))
-            verdicts.append(rep.verdict)
+            entry.update(rep)
+            verdicts.append(rep["verdict"])
         reports.append(entry)
     checked = [r for r in reports if "status" not in r]
     aggregate = {

@@ -300,13 +300,21 @@ class TestConfigErrors:
             ("simulate", {"system": {"name": "spin-half-sx"}, "initial_point": [[0.9], [0.3]],
                           "output_path": "unused.csv"},
              "initial_point must be an object with q and p, got [[0.9], [0.3]]"),
+            # a worked system keeps its own n, and the spin its own
+            # energies: these used to run as if the key were absent
+            ("simulate", {"system": {"name": "spin-half-sx", "energies": [5, 6]},
+                          "initial_point": {"q": [0.9], "p": [0.3]}, "output_path": "unused.csv"},
+             "system 'spin-half-sx' has fixed energies"),
+            ("check", {"system": {"name": "spin-half-sx", "n": 7}}, "system 'spin-half-sx' has n = 2, got 7"),
+            ("check", {"system": {"name": "two-qubit-product", "n": 9}},
+             "system 'two-qubit-product' has n = 4, got 9"),
         ],
         ids=["point-pairs", "point-outside-chart", "points-empty", "grid-not-object", "constraints-not-list",
              "constraint-not-object", "observable-not-n-by-n", "n-not-integer", "observable-pairs-not-hermitian",
              "observable-not-finite-check", "observable-not-finite-field", "observable-not-finite-simulate",
              "observable-on-fixed-system", "points-entry-batch", "initial-point-batch", "name-number",
              "name-null", "observable-no-matrix", "points-entry-not-object", "points-entry-no-p",
-             "initial-point-not-object"],
+             "initial-point-not-object", "spin-energies", "spin-n", "two-qubit-n"],
     )
     def test_malformed_entries(self, tmp_path, capsys, command, payload, message):
         assert main([command, write_config(tmp_path / "cfg.json", payload)]) == 2

@@ -16,6 +16,7 @@ from projflow import (
     nijenhuis_tensor,
     sample_interior_point,
 )
+from projflow import geometry
 from projflow.geometry import FLOAT_GUARD_PAIRS
 
 import closedforms as cf
@@ -283,6 +284,17 @@ class TestNijenhuis:
         # exact partials need no room around the point; roundoff grows
         # like eps / min(p)
         assert nijenhuis_residual(ChartPoint([0.0], [1e-6])) <= 1e-9
+
+    def test_builds_no_dense_geometry(self, rng, monkeypatch):
+        # the closed-form blocks need neither J nor its partials
+        def refuse(point):
+            raise AssertionError("nijenhuis_tensor built the dense geometry")
+
+        monkeypatch.setattr(geometry, "geometry_at", refuse)
+        points = [sample_interior_point(rng, 3) for _ in range(4)]
+        assert nijenhuis_tensor(points[0]).shape == (6, 6, 6)
+        batch = ChartPoint.from_coords([pt.coords() for pt in points])
+        assert nijenhuis_tensor(batch).shape == (4, 6, 6, 6)
 
 
 class TestTypeDecompose:

@@ -274,13 +274,17 @@ def test_geometry_matches_pullback(pairs, seed):
 
 @examples
 @given(dimensions, seeds)
+@example(33, 33)
+@example(65, 65)
 def test_nijenhuis_exact_and_matches_stencil(n, seed):
-    """The exact tensor vanishes to roundoff, and the finite-difference
-    oracle agrees with it within its truncation error step^2 / min(p)^3."""
+    """The closed-form tensor vanishes to roundoff and matches the dense
+    exact-dJ contraction, and the finite-difference oracle agrees with it
+    within its truncation error step^2 / min(p)^3."""
     pt = sample_interior_point(np.random.default_rng(seed), n - 1)
     step = 1e-5
     exact = nijenhuis_tensor(pt)
     assert np.abs(exact).max() <= 1e-12
+    assert np.abs(exact - cf.nijenhuis_dense(pt)).max() <= 1e-12
     gap = np.abs(exact - cf.nijenhuis_stencil(pt, step)).max()
     assert gap <= step ** 2 / min(pt.p.min(), pt.p_last) ** 3
 

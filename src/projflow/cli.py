@@ -61,11 +61,6 @@ _encode_str = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
 
 def _json_dump(obj, indent=0) -> str:
     """Serialise with fixed 17-significant-digit floats for determinism."""
-    kind = type(obj)  # the common leaves by exact type, before the isinstance chain
-    if kind is float:
-        return "%.17g" % obj
-    if kind is str:
-        return _encode_str(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -109,6 +104,7 @@ def _build_constraint(spec, n: int):
         raise ConfigError("constraint entries must be objects, got %r" % (spec,))
     kind = spec.get("kind")
     if kind == "observable":
+        _known_keys(spec, ("kind", "name", "matrix"), "an observable constraint")
         if "matrix" not in spec:
             raise ConfigError("an observable constraint needs a \"matrix\" entry")
         matrix = np.asarray(spec["matrix"], dtype=float)
@@ -119,6 +115,7 @@ def _build_constraint(spec, n: int):
                               % (n, n, n, n, matrix.shape))
         return observable_constraint(matrix, _entry(spec, "name", "observable", str, "a string"))
     if kind == "population":
+        _known_keys(spec, ("kind", "name", "index"), "a population constraint")
         index = _entry(spec, "index", None, int, "an integer")
         if not 1 <= index <= n - 1:
             raise ConfigError("population index out of range")
@@ -126,6 +123,13 @@ def _build_constraint(spec, n: int):
         name = _entry(spec, "name", "p%d" % index, str, "a string")
         return diagonal_observable(np.arange(n) == index - 1, name)
     raise ConfigError("unknown constraint kind %r" % kind)
+
+
+def _known_keys(raw: dict, keys, what: str) -> None:
+    """Reject a key of the config object raw that its reader does not read."""
+    unknown = sorted(raw.keys() - keys)
+    if unknown:
+        raise ConfigError("unknown key %r in %s" % (unknown[0], what))
 
 
 def _entry(raw: dict, key: str, default, types, what: str):
@@ -142,6 +146,7 @@ def _chart_point(spec, pairs: int, what: str) -> ChartPoint:
     given number of pairs, inside the guarded chart interior."""
     if not isinstance(spec, dict) or not {"q", "p"} <= spec.keys():
         raise ConfigError("%s must be an object with q and p, got %r" % (what, spec))
+    _known_keys(spec, ("q", "p"), what)
     try:
         point = ChartPoint(np.asarray(spec["q"], float), np.asarray(spec["p"], float))
         if point.q.ndim != 1:
@@ -161,12 +166,15 @@ def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunCo
         raise ConfigError("cannot read config: %s" % exc)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _known_keys(raw, ("command", "system", "constraints", "initial_point", "points", "grid", "num_points",
+                      "t_end", "dt", "projection", "output_path", "seed"), "the config")
     if "command" in raw and raw["command"] != command:
         raise ConfigError("config command %r does not match %r" % (raw["command"], command))
 
     sysspec = raw.get("system")
     if not isinstance(sysspec, dict) or "name" not in sysspec:
         raise ConfigError("config needs a system object with a name")
+    _known_keys(sysspec, ("name", "n", "energies", "constraints"), "system")
     n = _entry(sysspec, "n", None, (int, type(None)), "an integer")
     specs = _entry(sysspec, "constraints", [], list, "a list")
     try:
@@ -284,6 +292,8 @@ def cmd_field(cfg: RunConfig) -> int:
                 _grid_axis(grid, "p", 1e-12, 1.0 - 1e-12))
     else:
         raise ConfigError("unknown grid kind %r" % kind)
+    _known_keys(grid, ["kind"] + ["%s_%s" % (axis, end) for axis in header.split(",")[:2]
+                                  for end in ("min", "max", "count")], "grid")
     nodes = np.empty((axes[0].size, axes[1].size, 2))
     nodes[..., 0], nodes[..., 1] = axes[0][:, None], axes[1]
     nodes = nodes.reshape(-1, 2)

@@ -28,8 +28,8 @@ all-ones vector and p_n = 1 - sum(p) the residual weight,
     g^{-1} = diag((P^{-1} + 1 1^T / p_n) / 4,   P - p p^T),
     J      = [[0, 2 g^{-1}_qq], [-2 g^{-1}_pp, 0]],
 
-so each block is a diagonal plus a rank-one term and g^{-1} acts on a
-covector in O(n) (apply_g_inv); nothing is inverted or pulled back.
+so each block is a diagonal plus a rank-one term.  apply_g_inv, the one
+evaluation of g^{-1}, acts on a covector in O(n); nothing is inverted.
 
 All functions here are pure.  Every tensor function also takes a batch of
 points, a ChartPoint with a leading axis, and returns its result stacked
@@ -253,28 +253,21 @@ def apply_g_inv(point: ChartPoint, v) -> np.ndarray:
 
 
 def geometry_at(point: ChartPoint) -> PointGeometry:
-    """Assemble every point tensor of the chart geometry from its closed
-    form, entry by entry; (B, 2m, 2m) tensors at a batch of B points."""
+    """Every point tensor of the chart geometry, (B, 2m, 2m) at a batch of B
+    points: g from its own closed form, g^{-1} as apply_g_inv of the unit
+    covectors, and J = 2 g^{-1} omega = 2 (-g^{-1}_.p | g^{-1}_.q) in column blocks."""
     p_last = np.asarray(point.p_last)[..., None, None]
     p = point.p
     m = point.m
     diag = np.arange(m)
-    qq, pp = np.s_[..., :m, :m], np.s_[..., m:, m:]
     shape = p.shape[:-1] + (2 * m, 2 * m)
-    outer = p[..., :, None] * p[..., None, :]
     g = np.zeros(shape)
-    g_inv = np.zeros(shape)
-    g[qq] = -4.0 * outer
+    g[..., :m, :m] = -4.0 * p[..., :, None] * p[..., None, :]
     g[..., diag, diag] += 4.0 * p
-    g[pp] = 1.0 / p_last
+    g[..., m:, m:] = 1.0 / p_last
     g[..., m + diag, m + diag] += 1.0 / p
-    g_inv[qq] = 0.25 / p_last
-    g_inv[..., diag, diag] += 0.25 / p
-    g_inv[pp] = -outer
-    g_inv[..., m + diag, m + diag] += p
-    j = np.zeros(shape)
-    j[..., :m, m:] = 2.0 * g_inv[qq]
-    j[..., m:, :m] = -2.0 * g_inv[pp]
+    g_inv = apply_g_inv(point, np.broadcast_to(np.eye(2 * m), shape))
+    j = 2.0 * np.concatenate([-g_inv[..., m:], g_inv[..., :m]], axis=-1)
     return PointGeometry(g, g_inv, j)
 
 
@@ -288,8 +281,9 @@ def nijenhuis_tensor(point: ChartPoint) -> np.ndarray:
     combination is independent of the choice of symmetric connection).
     Returned with index layout N[..., c, a, b]; it is antisymmetric in
     (a, b) by construction.  J = [[0, A], [B, 0]] depends on p only, with
-    A = (P^{-1} + 1 1^T / p_n) / 2 and B = -2 (P - p p^T), so only four
-    m x m x m blocks of t are nonzero, each in closed form:
+    A = 2 g^{-1}_qq = (P^{-1} + 1 1^T / p_n) / 2 and B = -2 g^{-1}_pp =
+    -2 (P - p p^T), both read from apply_g_inv of the unit covectors; so
+    only four m x m x m blocks of t are nonzero, each in closed form:
 
         t[q_i, p_k, q_j] = -2 (A_ik (delta_kj - p_j) - (Ap)_i delta_kj),
         t[p_i, p_k, p_j] = ((B1)_i / p_n^2 - B_ik delta_kj / p_k^2) / 2,
@@ -302,8 +296,8 @@ def nijenhuis_tensor(point: ChartPoint) -> np.ndarray:
     p = point.p
     p_last = np.asarray(point.p_last)[..., None, None]
     col, eye = p[..., :, None], np.eye(m)
-    a = 0.5 * (eye / col + 1.0 / p_last)
-    b = -2.0 * (eye * col - col * p[..., None, :])
+    g_inv = apply_g_inv(point, np.broadcast_to(np.eye(2 * m), p.shape[:-1] + (2 * m, 2 * m)))
+    a, b = 2.0 * g_inv[..., :m, :m], -2.0 * g_inv[..., m:, m:]
     t = np.zeros(p.shape[:-1] + (2 * m,) * 3)
     t[..., :m, m:, :m] = -2.0 * (a[..., :, :, None] * (eye - p[..., None, :])[..., None, :, :]
                                  - (a @ col)[..., None] * eye)

@@ -20,7 +20,7 @@ from projflow import (
     single_spin_conserved_sx,
     two_qubit_product_system,
 )
-from projflow import cli, dynamics
+from projflow import cli, constraints, dynamics, geometry
 from projflow.systems import angular_coords
 from projflow.cli import main
 import closedforms as cf
@@ -308,13 +308,35 @@ class TestConfigErrors:
             ("check", {"system": {"name": "spin-half-sx", "n": 7}}, "system 'spin-half-sx' has n = 2, got 7"),
             ("check", {"system": {"name": "two-qubit-product", "n": 9}},
              "system 'two-qubit-product' has n = 4, got 9"),
+            # a misspelt key in any config object used to be ignored, and
+            # the run went on with the default of the key it meant
+            ("simulate", {"system": {"name": "spin-half-sx"}, "initial_point": {"q": [0.9], "p": [0.3]},
+                          "t-end": 0.01, "output_path": "unused.csv"},
+             "unknown key 't-end' in the config"),
+            ("check", {"system": {"name": "spin-half-sx", "energy": [5, 6]}}, "unknown key 'energy' in system"),
+            ("simulate", {"system": {"name": "spin-half-sx"}, "initial_point": {"q": [0.9], "p": [0.3], "t": 1},
+                          "output_path": "unused.csv"}, "unknown key 't' in initial_point"),
+            ("check", {"system": {"name": "spin-half-sx"}, "points": [{"q": [0.9], "p": [0.3], "r": [0.1]}]},
+             "unknown key 'r' in points entry"),
+            ("check", {"system": {"name": "diagonal", "n": 2, "energies": [-1.0, 1.0],
+                                  "constraints": [{"kind": "observable", "matrix": [[0, 1], [1, 0]], "index": 1}]}},
+             "unknown key 'index' in an observable constraint"),
+            ("check", {"system": {"name": "diagonal", "n": 3, "energies": [1.0, 0.5, 0.0],
+                                  "constraints": [{"kind": "population", "index": 1, "matrix": [[1]]}]}},
+             "unknown key 'matrix' in a population constraint"),
+            ("field", {"system": {"name": "spin-half-sx"}, "output_path": "unused.csv",
+                       "grid": {"kind": "angular", "theta_min": 0.5, "theta_max": 2.5, "theta_count": 3,
+                                "phi_min": 0.0, "phi_max": 6.0, "phi_count": 4, "phi_cnt": 40}},
+             "unknown key 'phi_cnt' in grid"),
         ],
         ids=["point-pairs", "point-outside-chart", "points-empty", "grid-not-object", "constraints-not-list",
              "constraint-not-object", "observable-not-n-by-n", "n-not-integer", "observable-pairs-not-hermitian",
              "observable-not-finite-check", "observable-not-finite-field", "observable-not-finite-simulate",
              "observable-on-fixed-system", "points-entry-batch", "initial-point-batch", "name-number",
              "name-null", "observable-no-matrix", "points-entry-not-object", "points-entry-no-p",
-             "initial-point-not-object", "spin-energies", "spin-n", "two-qubit-n"],
+             "initial-point-not-object", "spin-energies", "spin-n", "two-qubit-n", "unknown-top-level",
+             "unknown-system", "unknown-initial-point", "unknown-points-entry", "unknown-observable",
+             "unknown-population", "unknown-grid"],
     )
     def test_malformed_entries(self, tmp_path, capsys, command, payload, message):
         assert main([command, write_config(tmp_path / "cfg.json", payload)]) == 2
@@ -720,6 +742,27 @@ class TestValidate:
     def test_bad_name_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"system": {"name": "nope"}})
         assert main(["validate", cfg]) == 2
+
+    def test_checks_the_inverse_the_flow_runs(self, tmp_path, monkeypatch):
+        """g^{-1} and J are read from apply_g_inv, so a relative error of
+        1e-6 in one of its output columns (q_3 at n = 4) fails every check
+        that reads them, against the closed-form g."""
+        exact = geometry.apply_g_inv
+
+        def perturbed(point, v):
+            raised = exact(point, v)
+            raised[..., 2] *= 1.0 + 1e-6
+            return raised
+
+        for module in (geometry, constraints):
+            monkeypatch.setattr(module, "apply_g_inv", perturbed)
+        out = tmp_path / "validate.json"
+        cfg = write_config(tmp_path / "cfg.json", {"system": {"name": "diagonal", "n": 4,
+                                                              "energies": [1.0, 2.0, 3.0, 0.0]},
+                                                   "num_points": 20, "output_path": str(out)})
+        assert main(["validate", cfg]) == 1
+        failed = {c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]}
+        assert {"j_squared", "hermitian_metric", "two_form_inverse", "canonical_symplectic", "nijenhuis"} <= failed
 
     def test_deterministic_json(self, tmp_path):
         payload = {

@@ -39,9 +39,6 @@ from .systems import (
     with_constraints,
 )
 
-# Singular fixed points of the conserved-sigma_x example in (q, p); grids and
-# sampled check points keep clear of these.
-SPIN_SINGULAR_POINTS = ((0.0, 0.5), (math.pi, 0.5), (2.0 * math.pi, 0.5))
 VALIDATE_TOL = 1e-8
 # check and validate evaluate their points in batches of at most about this
 # many entries of a per-point tensor stack, so that peak memory stays flat
@@ -86,7 +83,6 @@ def _json_dump(obj, indent=0) -> str:
 
 @dataclass
 class RunConfig:
-    command: str
     system: SystemDefinition
     initial_point: Optional[ChartPoint] = None
     grid: Optional[dict] = None
@@ -190,7 +186,7 @@ def load_config(path: str, command: str, overrides: argparse.Namespace) -> RunCo
         raise ConfigError('constraints must be "default" or "none", got %r' % (active,))
     if active == "none":
         system = replace(system, constraints=())
-    cfg = RunConfig(command=command, system=system)
+    cfg = RunConfig(system=system)
     pairs = system.n - 1
     if raw.get("initial_point") is not None:
         cfg.initial_point = _chart_point(raw["initial_point"], pairs, "initial_point")
@@ -314,25 +310,14 @@ def cmd_field(cfg: RunConfig) -> int:
 
 
 def _check_points(cfg: RunConfig) -> np.ndarray:
-    """The flat coordinates of the check points, one row per point."""
+    """The flat coordinates of the check points, one row per point; no draw
+    is rejected, since check reports a singular point as such."""
     if cfg.points:
         return np.array([pt.coords() for pt in cfg.points])
-    system = cfg.system
-    if system.name == "two-qubit-product":
+    if cfg.system.name == "two-qubit-product":
         # Equivalence holds on the constraint surface; sample there.
         return np.array([_product_surface_row(cfg.seed + i) for i in range(cfg.num_points)])
-    rng = np.random.default_rng(cfg.seed)
-    pairs = system.n - 1
-    if system.name != "spin-half-sx":
-        return _interior_coords(rng, pairs, cfg.num_points)
-    # The rows of a block are the points that single draws give, so blocks
-    # of the missing count keep what a one-at-a-time rejection loop keeps.
-    kept = []
-    while len(kept) < cfg.num_points:
-        block = _interior_coords(rng, pairs, cfg.num_points - len(kept)).tolist()
-        kept += [(q, p) for q, p in block
-                 if min(math.hypot(q - sq, p - sp) for sq, sp in SPIN_SINGULAR_POINTS) >= 1e-2]
-    return np.array(kept)
+    return _interior_coords(np.random.default_rng(cfg.seed), cfg.system.n - 1, cfg.num_points)
 
 
 def _batches(coords: np.ndarray, entries_per_point: int):
@@ -399,10 +384,11 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def _probe_observables(n: int):
+    # the star X[:-1, -1] = X[-1, :-1] = 1 (sigma_x at n = 2) reaches every q column of g^{-1}
     ham = np.diag(np.arange(1.0, n + 1.0))
-    flip = np.zeros((n, n))
-    flip[0, 1] = flip[1, 0] = 1.0
-    return [observable_constraint(ham, "probe-diag"), observable_constraint(flip, "probe-flip")]
+    star = np.zeros((n, n))
+    star[:-1, -1] = star[-1, :-1] = 1.0
+    return [observable_constraint(ham, "probe-diag"), observable_constraint(star, "probe-star")]
 
 
 def _validate_residuals(points: ChartPoint, probes) -> dict:

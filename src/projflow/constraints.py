@@ -193,11 +193,12 @@ def gradient_rows(constraints: Sequence[Constraint], point: ChartPoint) -> np.nd
 
 
 def _small_gram_inverse(entries, constraints) -> Tuple[list, float]:
-    """M^{-1} = adj(M)/det(M) as nested lists and the condition estimate of
-    the Gram matrix of N <= 2 constraints, given as rows of Python floats and
-    read as symmetric, b = 0.5 (m01 + m10).  Its singular values are the
-    absolute eigenvalues (a + d)/2 +- hypot((a - d)/2, b) (b = 0 and d = a
-    when N = 1); SingularGramError under the floor or if M is not finite."""
+    """The one-point field's float rule: M^{-1} = adj(M)/det(M) as nested lists
+    and the condition estimate of the Gram matrix of N <= 2 constraints, rows
+    of Python floats read as symmetric, b = 0.5 (m01 + m10); its singular
+    values are |(a + d)/2 +- hypot((a - d)/2, b)| (b = 0, d = a at N = 1), so
+    the estimate may differ from the frame's in its last bits.
+    SingularGramError under the floor or if M is not finite."""
     a, d = entries[0][0], entries[-1][-1]
     b = 0.5 * (entries[0][1] + entries[1][0]) if len(entries) == 2 else 0.0
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
@@ -256,7 +257,7 @@ def _invert_gram(m: np.ndarray):
 def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint) -> ConstraintFrame:
     """Gradients, metric normals and Gram matrix
     M^{ij} = g^{ab} grad_a Phi^i grad_b Phi^j of a constraint set at one
-    point, or at each point of a batch, with the inverse of M.
+    point, or at each point of a batch, with M^{-1} from _invert_gram.
 
     A Gram matrix that is not finite, or whose smallest singular value
     falls under GRAM_SINGULAR_FLOOR * max(1, sigma_max) (redundant
@@ -272,9 +273,6 @@ def constraint_frame(constraints: Sequence[Constraint], point: ChartPoint) -> Co
     m = 0.5 * (m + m.mT)  # exactly symmetric
     if m.ndim > 2:
         return ConstraintFrame(rows, normals, m, *_invert_gram(m))
-    if len(constraints) <= 2:  # the float rule of the single-point field, so both read one estimate
-        m_inv, cond = _small_gram_inverse(m.tolist(), constraints)
-        return ConstraintFrame(rows, normals, m, np.array(m_inv), cond)
     m_inv, cond, singular = _invert_gram(m)
     if singular:
         raise SingularGramError([c.name for c in constraints], cond)

@@ -40,7 +40,6 @@ from projflow import (
     schrodinger_field,
 )
 from projflow import dynamics
-from projflow.cli import SPIN_SINGULAR_POINTS
 from projflow.constraints import GRAM_SINGULAR_FLOOR
 from projflow.equivalence import TAU_BLOCK_RTOL
 from projflow.systems import angular_coords
@@ -669,20 +668,6 @@ def uniform_product_surface_point(seed):
             break
     q2, q3 = rng.uniform(0.0, 2.0 * np.pi, size=2)
     return ChartPoint(np.array([q2 + q3, q2, q3]), np.array([p1, p2, p3]))
-
-
-def spin_check_points(seed, num_points):
-    """The sampled check points of the spin system, one draw at a time,
-    each rejected within 1e-2 of a singular point."""
-    rng = np.random.default_rng(seed)
-    points = []
-    while len(points) < num_points:
-        pt = uniform_interior_point(rng, 1)
-        q, p = float(pt.q[0]), float(pt.p[0])
-        if min(math.hypot(q - sq, p - sp) for sq, sp in SPIN_SINGULAR_POINTS) < 1e-2:
-            continue
-        points.append(pt)
-    return points
 
 
 def report_at(report, i):

@@ -690,13 +690,27 @@ class TestCheckWriter:
 
     @pytest.mark.parametrize("name", ["two-qubit-product", "spin-half-sx"])
     def test_sampled_points(self, tmp_path, name):
-        """Seed 4 rejects the spin system's ninth draw."""
+        """The first 16 draws of seed 4, every one kept: the spin's ninth
+        lies within 1e-2 of a singular point but is regular."""
         text = self.run(tmp_path, {"system": {"name": name}, "num_points": 16, "seed": 4})
         if name == "spin-half-sx":
-            system, points = single_spin_conserved_sx(), cf.spin_check_points(4, 16)
+            draws = np.random.default_rng(4)
+            system, points = single_spin_conserved_sx(), [cf.uniform_interior_point(draws, 1) for _ in range(16)]
         else:
             system, points = two_qubit_product_system(), [cf.uniform_product_surface_point(4 + i) for i in range(16)]
         assert text == cli._json_dump(cf.check_payload(system, 4, points)) + "\n"
+
+    def test_spin_draw_near_singular_point(self, tmp_path):
+        """Seed 686 first draws (3.1476, 0.4934), 7.6e-3 from (pi, 1/2):
+        check reports it as drawn, a regular point that is not equivalent."""
+        payload = json.loads(self.run(tmp_path, {"system": {"name": "spin-half-sx"}, "num_points": 1, "seed": 686}))
+        point = cf.uniform_interior_point(np.random.default_rng(686), 1)
+        [entry] = payload["points"]
+        assert (entry["q"], entry["p"]) == (list(point.q), list(point.p))
+        assert math.hypot(point.q[0] - math.pi, point.p[0] - 0.5) < 1e-2
+        assert entry["verdict"] == payload["aggregate"]["verdict"] == "not_equivalent"
+        assert all(math.isfinite(entry[key]) for key in
+                   ("j_invariance_residual", "right_annihilation_residual", "left_annihilation_residual"))
 
 
 def test_json_dump_bytes():
@@ -746,7 +760,8 @@ class TestValidate:
     def test_checks_the_inverse_the_flow_runs(self, tmp_path, monkeypatch):
         """g^{-1} and J are read from apply_g_inv, so a relative error of
         1e-6 in one of its output columns (q_3 at n = 4) fails every check
-        that reads them, against the closed-form g."""
+        that reads them, against the closed-form g, and the Gram check,
+        whose star probe reaches every q column."""
         exact = geometry.apply_g_inv
 
         def perturbed(point, v):
@@ -762,7 +777,8 @@ class TestValidate:
                                                    "num_points": 20, "output_path": str(out)})
         assert main(["validate", cfg]) == 1
         failed = {c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]}
-        assert {"j_squared", "hermitian_metric", "two_form_inverse", "canonical_symplectic", "nijenhuis"} <= failed
+        assert {"j_squared", "hermitian_metric", "two_form_inverse", "canonical_symplectic", "nijenhuis",
+                "gram_covariance"} <= failed
 
     def test_deterministic_json(self, tmp_path):
         payload = {

@@ -33,7 +33,6 @@ from projflow import (
     tau_analysis,
     two_qubit_product_system,
 )
-from projflow import cli
 from projflow.equivalence import EQUIVALENCE_TOL
 from projflow.geometry import BOUNDARY_MARGIN, inside_chart
 from projflow.systems import _interior_coords, _product_surface_row
@@ -112,6 +111,31 @@ def test_single_point_field_singular_error_matches_frame():
         constrained_field(pt, spin)
     assert raised.value.names == expected.value.names == ("sigma-x",)
     np.testing.assert_equal(raised.value.condition_number, expected.value.condition_number)
+
+
+def assert_frame_matches_batch_of_one(cons, pt):
+    """constraint_frame at pt equals entry 0 of its frame at the batch of
+    pt alone, field by field and bit for bit; a singular point raises with
+    the condition estimate the batch marks."""
+    batch = constraint_frame(cons, ChartPoint(pt.q[None], pt.p[None]))
+    try:
+        frame = constraint_frame(cons, pt)
+    except SingularGramError as raised:
+        assert batch.singular[0]
+        np.testing.assert_equal(raised.condition_number, batch.condition_number[0])
+        return
+    for name in ("rows", "normals", "gram", "gram_inv", "condition_number", "singular"):
+        assert np.array_equal(getattr(frame, name), getattr(batch, name)[0]), name
+
+
+@examples
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3), seeds)
+@example(5, 2, 59)  # where _small_gram_inverse reads another condition estimate
+def test_single_point_frame_matches_batch_of_one(n, size, seed):
+    rng = np.random.default_rng(seed)
+    cons = tuple(observable_constraint(hermitian(rng, n), "o%d" % i) for i in range(size))
+    assert_frame_matches_batch_of_one(cons, sample_interior_point(rng, n - 1))
+    assert_frame_matches_batch_of_one(two_qubit_product_system().constraints, product_surface_sample(seed))
 
 
 @examples
@@ -385,16 +409,3 @@ def test_product_surface_row_draw_order(seed):
     row = _product_surface_row(seed)
     assert np.array_equal(row, cf.uniform_product_surface_point(seed).coords())
     assert np.array_equal(row, product_surface_sample(seed).coords())
-
-
-@examples
-@given(st.integers(min_value=1, max_value=40), seeds)
-@example(16, 4)  # the 9th draw is rejected
-@example(16, 629)  # the 4th
-@example(1, 686)  # the first
-def test_spin_check_points_match_rejection_loop(num_points, seed):
-    """The spin check points, drawn in blocks, are those of the loop that
-    draws and rejects one point at a time."""
-    cfg = cli.RunConfig(command="check", system=single_spin_conserved_sx(), num_points=num_points, seed=seed)
-    expected = [pt.coords() for pt in cf.spin_check_points(seed, num_points)]
-    assert np.array_equal(cli._check_points(cfg), expected)
